@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench tables obs recover wire capacity capacity-quick gw edgecache replication seqcore examples cover clean
+.PHONY: all build vet lint test race bench bench-quick bench-compare tables obs recover wire capacity capacity-quick gw edgecache replication seqcore examples cover clean
 
 all: build vet test race capacity-quick
 
@@ -30,6 +30,18 @@ race:
 # One testing.B benchmark per experiment row (see EXPERIMENTS.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The end-to-end benchmark (bench/README.md, BENCHMARK.json) at smoke
+# scale: every workload, both modes, ~45 s; numbers are not quotable.
+bench-quick:
+	$(GO) run ./bench -quick
+
+# The regression gate over two result sets written by
+# `go run ./bench -runs N -trace 0 -out <set>.json`:
+#   make bench-compare A=parent.json B=change.json
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<set.json> B=<set.json>"; exit 2; }
+	$(GO) run ./bench -compare $(A) $(B)
 
 # Regenerate every figure/scenario table from the paper reproduction and
 # the machine-readable rows (BENCH_parallel.json, BENCH_faults.json).

@@ -10,9 +10,12 @@
 //	oasisctl show        -wallet w.json
 //
 // It also verifies a daemon's durable state directory offline (checksums,
-// torn tails, replayable totals) without touching the files:
+// torn tails, replayable totals) without touching the files, and converts
+// a directory written by a pre-binary-journal oasisd, once, with the
+// daemon stopped:
 //
-//	oasisctl state verify -state-dir /var/lib/oasisd
+//	oasisctl state verify  -state-dir /var/lib/oasisd
+//	oasisctl state migrate -state-dir /var/lib/oasisd
 package main
 
 import (
@@ -88,15 +91,16 @@ func run(args []string) error {
 	}
 }
 
-// stateCmd handles the offline `state` subcommands; only `verify` exists
-// today. It reads the directory without modifying it, so it is safe to run
-// against a live daemon's state dir.
+// stateCmd handles the offline `state` subcommands. verify reads the
+// directory without modifying it, so it is safe to run against a live
+// daemon's state dir; migrate rewrites a legacy (JSON journal) directory
+// in the current format and wants the daemon stopped.
 func stateCmd(args []string) error {
-	if len(args) == 0 || args[0] != "verify" {
-		return fmt.Errorf("usage: oasisctl state verify -state-dir <dir> [-json]")
+	if len(args) == 0 || (args[0] != "verify" && args[0] != "migrate") {
+		return fmt.Errorf("usage: oasisctl state <verify|migrate> -state-dir <dir> [-json]")
 	}
-	fs := flag.NewFlagSet("state verify", flag.ContinueOnError)
-	stateDir := fs.String("state-dir", "", "daemon state directory to verify")
+	fs := flag.NewFlagSet("state "+args[0], flag.ContinueOnError)
+	stateDir := fs.String("state-dir", "", "daemon state directory")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -104,22 +108,46 @@ func stateCmd(args []string) error {
 	if *stateDir == "" {
 		return fmt.Errorf("-state-dir is required")
 	}
+	if args[0] == "migrate" {
+		// The one place encoding/json still meets a journal.
+		rep, err := durable.MigrateLegacy(*stateDir, json.Unmarshal)
+		if err != nil {
+			return err
+		}
+		if *asJSON {
+			return printJSON(rep)
+		}
+		if !rep.Converted {
+			fmt.Printf("state dir %s: no legacy journal files, nothing to do\n", *stateDir)
+			return nil
+		}
+		fmt.Printf("state dir %s: %d legacy journal records folded into snap gen %d, %d legacy files removed\n",
+			*stateDir, rep.Records, rep.SnapshotGen, len(rep.Removed))
+		return nil
+	}
 	rep, err := durable.Verify(*stateDir)
 	if err != nil {
 		return err
 	}
 	if *asJSON {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		if err := printJSON(rep); err != nil {
 			return err
 		}
-		fmt.Printf("%s\n", b)
 	} else {
 		rep.WriteText(os.Stdout)
 	}
 	if !rep.OK {
 		return fmt.Errorf("state verification failed")
 	}
+	return nil
+}
+
+func printJSON(v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s\n", b)
 	return nil
 }
 

@@ -26,58 +26,72 @@ import (
 // ErrBinaryCodec is returned for any malformed binary certificate input.
 var ErrBinaryCodec = errors.New("cert: malformed binary encoding")
 
-// appendUvarint/appendVarint wrap binary.Append*; appendLenBytes and
-// appendLenString write a uvarint length followed by the raw bytes.
-func appendLenString(dst []byte, s string) []byte {
+// AppendLenString appends a uvarint length followed by the string's bytes.
+func AppendLenString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-// binReader is a bounds-checked decode cursor. Methods keep the first
-// error sticky so call sites can check once at the end of a struct.
-type binReader struct {
+// BinReader is a bounds-checked decode cursor. Methods keep the first
+// error sticky so call sites can check once at the end of a struct. It
+// is exported so other on-disk and on-wire formats (the durable journal)
+// decode with the same primitives instead of a copy of them.
+type BinReader struct {
 	b   []byte
 	err error
 }
 
-func (r *binReader) fail() {
+// NewBinReader returns a cursor at the front of b.
+func NewBinReader(b []byte) *BinReader { return &BinReader{b: b} }
+
+// Err is the first decode error, nil while every read so far fitted.
+func (r *BinReader) Err() error { return r.err }
+
+// Rest returns the bytes not yet consumed.
+func (r *BinReader) Rest() []byte { return r.b }
+
+// Fail marks the input malformed; later reads return zero values.
+func (r *BinReader) Fail() {
 	if r.err == nil {
 		r.err = ErrBinaryCodec
 	}
 }
 
-func (r *binReader) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (r *BinReader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *binReader) varint() int64 {
+// Varint reads a signed varint.
+func (r *BinReader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(r.b)
 	if n <= 0 {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *binReader) byte() byte {
+// Byte reads one byte.
+func (r *BinReader) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
 	if len(r.b) < 1 {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	v := r.b[0]
@@ -85,13 +99,14 @@ func (r *binReader) byte() byte {
 	return v
 }
 
-func (r *binReader) str() string {
-	n := r.uvarint()
+// Str reads a uvarint-length-prefixed string (see AppendLenString).
+func (r *BinReader) Str() string {
+	n := r.Uvarint()
 	if r.err != nil {
 		return ""
 	}
 	if uint64(len(r.b)) < n {
-		r.fail()
+		r.Fail()
 		return ""
 	}
 	s := string(r.b[:n])
@@ -99,12 +114,13 @@ func (r *binReader) str() string {
 	return s
 }
 
-func (r *binReader) raw(n int) []byte {
+// Raw reads n bytes, aliasing the input.
+func (r *BinReader) Raw(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
 	if len(r.b) < n {
-		r.fail()
+		r.Fail()
 		return nil
 	}
 	v := r.b[:n]
@@ -122,14 +138,14 @@ func appendTime(dst []byte, t time.Time) []byte {
 	return binary.AppendVarint(dst, t.UnixNano())
 }
 
-func (r *binReader) time() time.Time {
-	switch r.byte() {
+func (r *BinReader) time() time.Time {
+	switch r.Byte() {
 	case 0:
 		return time.Time{}
 	case 1:
-		return time.Unix(0, r.varint())
+		return time.Unix(0, r.Varint())
 	default:
-		r.fail()
+		r.Fail()
 		return time.Time{}
 	}
 }
@@ -140,23 +156,24 @@ func appendTermBinary(dst []byte, t names.Term) []byte {
 	if t.Kind == names.KindInt {
 		return binary.AppendVarint(dst, t.Num)
 	}
-	return appendLenString(dst, t.Sym)
+	return AppendLenString(dst, t.Sym)
 }
 
-func (r *binReader) term() names.Term {
-	kind := names.TermKind(r.byte())
+func (r *BinReader) term() names.Term {
+	kind := names.TermKind(r.Byte())
 	switch kind {
 	case names.KindInt:
-		return names.Term{Kind: kind, Num: r.varint()}
+		return names.Term{Kind: kind, Num: r.Varint()}
 	case names.KindVar, names.KindAtom, names.KindString:
-		return names.Term{Kind: kind, Sym: r.str()}
+		return names.Term{Kind: kind, Sym: r.Str()}
 	default:
-		r.fail()
+		r.Fail()
 		return names.Term{}
 	}
 }
 
-func appendTermsBinary(dst []byte, ts []names.Term) []byte {
+// AppendTermsBinary appends a uvarint count followed by each term.
+func AppendTermsBinary(dst []byte, ts []names.Term) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ts)))
 	for _, t := range ts {
 		dst = appendTermBinary(dst, t)
@@ -168,14 +185,15 @@ func appendTermsBinary(dst []byte, ts []names.Term) []byte {
 // cannot drive a huge allocation before the input runs out.
 const maxBinaryCount = 1 << 16
 
-func (r *binReader) terms() []names.Term {
-	n := r.uvarint()
+// Terms reads a term list written by AppendTermsBinary.
+func (r *BinReader) Terms() []names.Term {
+	n := r.Uvarint()
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	if n > maxBinaryCount || uint64(len(r.b)) < n {
 		// Every term costs at least one byte; anything larger is corrupt.
-		r.fail()
+		r.Fail()
 		return nil
 	}
 	ts := make([]names.Term, n)
@@ -187,65 +205,66 @@ func (r *binReader) terms() []names.Term {
 
 // AppendCRRBinary appends the binary form of a CRR to dst.
 func AppendCRRBinary(dst []byte, c CRR) []byte {
-	dst = appendLenString(dst, c.Issuer)
+	dst = AppendLenString(dst, c.Issuer)
 	return binary.AppendUvarint(dst, c.Serial)
 }
 
-func (r *binReader) crr() CRR {
-	return CRR{Issuer: r.str(), Serial: r.uvarint()}
+func (r *BinReader) crr() CRR {
+	return CRR{Issuer: r.Str(), Serial: r.Uvarint()}
 }
 
 // AppendRMCBinary appends the binary form of an RMC to dst: role
 // (service, name, arity, params), CRR, key id, signature.
 func AppendRMCBinary(dst []byte, rmc RMC) []byte {
-	dst = appendLenString(dst, rmc.Role.Name.Service)
-	dst = appendLenString(dst, rmc.Role.Name.Name)
+	dst = AppendLenString(dst, rmc.Role.Name.Service)
+	dst = AppendLenString(dst, rmc.Role.Name.Name)
 	dst = binary.AppendUvarint(dst, uint64(rmc.Role.Name.Arity))
-	dst = appendTermsBinary(dst, rmc.Role.Params)
+	dst = AppendTermsBinary(dst, rmc.Role.Params)
 	dst = AppendCRRBinary(dst, rmc.Ref)
 	dst = binary.AppendUvarint(dst, uint64(rmc.KeyID))
 	return append(dst, rmc.Sig[:]...)
 }
 
-func (r *binReader) rmc() RMC {
+func (r *BinReader) rmc() RMC {
 	var rmc RMC
-	rmc.Role.Name.Service = r.str()
-	rmc.Role.Name.Name = r.str()
-	rmc.Role.Name.Arity = int(r.uvarint())
-	rmc.Role.Params = r.terms()
+	rmc.Role.Name.Service = r.Str()
+	rmc.Role.Name.Name = r.Str()
+	rmc.Role.Name.Arity = int(r.Uvarint())
+	rmc.Role.Params = r.Terms()
 	rmc.Ref = r.crr()
-	rmc.KeyID = uint32(r.uvarint())
-	copy(rmc.Sig[:], r.raw(len(sign.Signature{})))
+	rmc.KeyID = uint32(r.Uvarint())
+	copy(rmc.Sig[:], r.Raw(len(sign.Signature{})))
 	return rmc
 }
 
 // AppendAppointmentBinary appends the binary form of an appointment
 // certificate to dst.
 func AppendAppointmentBinary(dst []byte, a AppointmentCertificate) []byte {
-	dst = appendLenString(dst, a.Issuer)
+	dst = AppendLenString(dst, a.Issuer)
 	dst = binary.AppendUvarint(dst, a.Serial)
-	dst = appendLenString(dst, a.Kind)
-	dst = appendTermsBinary(dst, a.Params)
-	dst = appendLenString(dst, a.Holder)
-	dst = appendLenString(dst, a.AppointedBy)
+	dst = AppendLenString(dst, a.Kind)
+	dst = AppendTermsBinary(dst, a.Params)
+	dst = AppendLenString(dst, a.Holder)
+	dst = AppendLenString(dst, a.AppointedBy)
 	dst = appendTime(dst, a.IssuedAt)
 	dst = appendTime(dst, a.ExpiresAt)
 	dst = binary.AppendUvarint(dst, uint64(a.KeyID))
 	return append(dst, a.Sig[:]...)
 }
 
-func (r *binReader) appointment() AppointmentCertificate {
+// Appointment reads a certificate written by AppendAppointmentBinary.
+func (r *BinReader) Appointment() AppointmentCertificate {
 	var a AppointmentCertificate
-	a.Issuer = r.str()
-	a.Serial = r.uvarint()
-	a.Kind = r.str()
-	a.Params = r.terms()
-	a.Holder = r.str()
-	a.AppointedBy = r.str()
+	a.Issuer = r.Str()
+	a.Serial = r.Uvarint()
+	a.Kind = r.Str()
+	a.Params = r.Terms()
+	a.Holder = r.Str()
+	a.AppointedBy = r.Str()
 	a.IssuedAt = r.time()
 	a.ExpiresAt = r.time()
-	a.KeyID = uint32(r.uvarint())
-	copy(a.Sig[:], r.raw(len(sign.Signature{})))
+	a.KeyID = uint32(r.Uvarint())
+	copy(a.Sig[:], r.Raw(len(sign.Signature{})))
 	return a
 }
 
@@ -253,7 +272,7 @@ func (r *binReader) appointment() AppointmentCertificate {
 // remaining bytes — the composition point for multi-certificate wire
 // bodies such as validation batches.
 func ReadRMCBinary(b []byte) (RMC, []byte, error) {
-	r := binReader{b: b}
+	r := BinReader{b: b}
 	rmc := r.rmc()
 	if r.err != nil {
 		return RMC{}, nil, fmt.Errorf("decode rmc: %w", r.err)
@@ -264,8 +283,8 @@ func ReadRMCBinary(b []byte) (RMC, []byte, error) {
 // ReadAppointmentBinary decodes one appointment certificate from the
 // front of b, returning the remaining bytes.
 func ReadAppointmentBinary(b []byte) (AppointmentCertificate, []byte, error) {
-	r := binReader{b: b}
-	a := r.appointment()
+	r := BinReader{b: b}
+	a := r.Appointment()
 	if r.err != nil {
 		return AppointmentCertificate{}, nil, fmt.Errorf("decode appointment: %w", r.err)
 	}

@@ -37,7 +37,7 @@ func snapCount(t *testing.T, dir string) int {
 func TestAutoCompactBytesThreshold(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l, err := Open(Options{Dir: dir, GroupWindow: -1, AutoCompactBytes: 2048, Obs: reg})
+	l, err := Open(Options{Dir: dir, GroupWindow: -1, AutoCompactBytes: 1024, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestAutoCompactBytesThreshold(t *testing.T) {
 		}
 	}
 	waitUntil(t, "byte-threshold auto compaction", func() bool { return snapCount(t, dir) > 0 })
-	waitUntil(t, "active generation to shrink below the threshold", func() bool { return l.JournalSize() < 2048 })
+	waitUntil(t, "active generation to shrink below the threshold", func() bool { return l.JournalSize() < 1024 })
 	if got := reg.Counter("durable_autocompactions_total").Value(); got == 0 {
 		t.Error("durable_autocompactions_total = 0, want > 0")
 	}
@@ -244,7 +244,7 @@ func TestTornTailAfterLiveCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	torn := appendFrame(nil, []byte(`{"op":"cr-","svc":"s","serial":2}`))
+	torn := recFrame(t, Record{Op: OpCRRevoke, Service: "s", Serial: 2})
 	f, err := os.OpenFile(filepath.Join(dir, walName(2)), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)

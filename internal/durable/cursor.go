@@ -13,10 +13,8 @@ package durable
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -34,7 +32,7 @@ type Cursor struct {
 	ID    string `json:"id,omitempty"`
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Gen and Off locate the next unread byte: journal generation and
-	// byte offset within wal-<gen>.
+	// byte offset within wal-<gen> (SegmentStart is its first frame).
 	Gen uint64 `json:"gen"`
 	Off int64  `json:"off"`
 }
@@ -97,62 +95,53 @@ var ErrCursorAhead = errors.New("durable: cursor beyond journal segment end")
 // than wedging.
 const readSegmentChunkBytes = 4 << 20
 
-// ReadSegmentAt decodes records from wal-<gen> starting at byte offset
-// off, which must sit on a frame boundary (0, or a next returned by an
-// earlier call). next is the offset just past the last intact record; a
-// torn or still-being-written tail simply ends the read at the last
-// intact frame (next == off means nothing new yet), exactly as recovery
-// would treat it. Safe to call while a Log is appending to the segment:
-// appends only ever extend the file, so a reader sees either a complete
-// frame or a partial tail it stops in front of.
-func ReadSegmentAt(dir string, gen uint64, off int64) (recs []Record, next int64, err error) {
+// ReadSegmentAt returns the intact frames of wal-<gen> from byte offset
+// off on, verbatim — checksummed but not decoded, ready to be shipped or
+// handed to DecodeFrames — and how many there are. off must sit on a
+// frame boundary: SegmentStart (anything below it means "from the
+// start") or a next returned by an earlier call. next is the offset just
+// past the returned frames; a torn or still-being-written tail simply
+// ends the read at the last intact frame (no frames means nothing new
+// yet), exactly as recovery would treat it. Safe to call while a Log is
+// appending to the segment: appends only ever extend the file, so a
+// reader sees either a complete frame or a partial tail it stops in
+// front of.
+func ReadSegmentAt(dir string, gen uint64, off int64) (frames []byte, n int, next int64, err error) {
 	f, err := os.Open(filepath.Join(dir, walName(gen)))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, off, ErrNoSegment
+			return nil, 0, off, ErrNoSegment
 		}
-		return nil, off, err
+		return nil, 0, off, err
 	}
 	defer f.Close() //nolint:errcheck // read-only
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, off, err
+		return nil, 0, off, err
+	}
+	// A tailer only ever reads the directory of a live Log, whose
+	// segments Open has checked or created: the header is skipped, not
+	// re-proven (and may still be on its way to a brand-new segment).
+	off = max(off, SegmentStart)
+	if fi.Size() < SegmentStart {
+		return nil, 0, off, nil
 	}
 	if off > fi.Size() {
-		return nil, off, ErrCursorAhead
+		return nil, 0, off, ErrCursorAhead
 	}
-	budget := int64(readSegmentChunkBytes)
-	for {
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			return nil, off, err
+	for budget := int64(readSegmentChunkBytes); ; budget *= 4 {
+		buf := make([]byte, min(budget, fi.Size()-off))
+		if _, err := f.ReadAt(buf, off); err != nil {
+			return nil, 0, off, err
 		}
-		payloads, _, _, rerr := readFrames(io.LimitReader(f, budget))
-		if rerr != nil {
-			return nil, off, rerr
+		good, n := intactFrames(buf)
+		// No intact frame in the chunk: nothing new, a torn tail, or one
+		// frame bigger than the budget (its cut-off read looks the same
+		// as a torn tail) — widen until the chunk covers the remainder
+		// or the largest legal frame, then conclude nothing is there.
+		if n > 0 || int64(len(buf)) == fi.Size()-off || budget >= maxFrameSize+frameHeaderSize {
+			return buf[:good], n, off + int64(good), nil
 		}
-		if len(payloads) == 0 {
-			// Either nothing new, a torn tail, or one frame bigger than
-			// the budget (its cut-off read is indistinguishable from a
-			// torn tail): widen until the budget covers the remainder,
-			// then conclude there is genuinely nothing intact yet.
-			if budget < fi.Size()-off && budget < maxFrameSize+frameHeaderSize {
-				budget *= 4
-				continue
-			}
-			return nil, off, nil
-		}
-		next = off
-		for _, p := range payloads {
-			var r Record
-			if jerr := json.Unmarshal(p, &r); jerr != nil {
-				// Checksummed frame that is not a record: only possible as
-				// the torn tail of a crashed append; stop in front of it.
-				return recs, next, nil
-			}
-			recs = append(recs, r)
-			next += frameHeaderSize + int64(len(p))
-		}
-		return recs, next, nil
 	}
 }
 
@@ -171,21 +160,20 @@ func SegmentSize(dir string, gen uint64) (int64, error) {
 	return fi.Size(), nil
 }
 
-// LatestSnapshot loads the newest readable snapshot in dir. gen is the
-// journal generation the snapshot seals — tail-follow resumes at
-// Cursor{Gen: gen, Off: 0}. ok is false when no snapshot exists (resume
-// from the oldest segment with an empty state).
-func LatestSnapshot(dir string) (gen uint64, st *State, ok bool, err error) {
+// LatestSnapshot returns the image of the newest readable snapshot in
+// dir, verbatim and already proven to decode. gen is the journal
+// generation the snapshot seals — tail-follow resumes at
+// Cursor{Gen: gen, Off: SegmentStart}. ok is false when no snapshot
+// exists (resume from the oldest segment with an empty state).
+func LatestSnapshot(dir string) (gen uint64, image []byte, ok bool, err error) {
 	_, snaps, err := listGens(dir)
 	if err != nil {
 		return 0, nil, false, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		s, serr := readSnapshot(dir, snaps[i])
-		if serr != nil {
-			continue
+		if image, serr := readSnapshot(dir, snaps[i], func(*Record) {}); serr == nil {
+			return snaps[i], image, true, nil
 		}
-		return snaps[i], s, true, nil
 	}
 	return 0, nil, false, nil
 }
@@ -208,4 +196,7 @@ func OldestSegment(dir string) (gen uint64, ok bool, err error) {
 // is checked against. The journal should be quiescent (flushed, no
 // appends in flight) for an exact answer; a torn tail on the active
 // generation is tolerated exactly as recovery tolerates it.
-func ReadState(dir string) (*State, error) { return readState(dir) }
+func ReadState(dir string) (*State, error) {
+	c, err := loadChain(dir)
+	return c.state, err
+}

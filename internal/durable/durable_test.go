@@ -10,7 +10,9 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cert"
 	"repro/internal/names"
 	"repro/internal/sign"
 )
@@ -34,18 +36,52 @@ func sameState(t *testing.T, got, want *State) {
 	}
 }
 
+// appendFrame frames an arbitrary payload — what the journal does around
+// an encoded record — so tests can write frames no encoder would.
+func appendFrame(buf, payload []byte) []byte {
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = append(buf, payload...)
+	return sealFrame(buf, len(buf)-len(payload)-frameHeaderSize)
+}
+
+// recFrame encodes r as the one-record frame the journal would append.
+func recFrame(t *testing.T, r Record) []byte {
+	t.Helper()
+	b, err := appendRecordFrame(nil, &r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// splitFrames returns the payloads of buf's intact frame prefix, the
+// offset just past it and whether bytes remain beyond it.
+func splitFrames(buf []byte) (payloads [][]byte, goodOffset int64, truncated bool) {
+	rest := buf
+	for {
+		p, next, ok := nextFrame(rest)
+		if !ok {
+			return payloads, int64(len(buf) - len(rest)), len(rest) > 0
+		}
+		payloads, rest = append(payloads, p), next
+	}
+}
+
 func TestFrameRoundtrip(t *testing.T) {
 	var buf []byte
 	payloads := [][]byte{[]byte("one"), []byte(`{"op":"cr+"}`), bytes.Repeat([]byte("x"), 10_000)}
 	for _, p := range payloads {
 		buf = appendFrame(buf, p)
 	}
-	got, goodOffset, truncated, err := readFrames(bytes.NewReader(buf))
-	if err != nil || truncated {
-		t.Fatalf("readFrames: err=%v truncated=%v", err, truncated)
+	got, goodOffset, truncated := splitFrames(buf)
+	if truncated {
+		t.Fatalf("splitFrames: truncated=%v", truncated)
 	}
 	if goodOffset != int64(len(buf)) {
 		t.Errorf("goodOffset = %d, want %d", goodOffset, len(buf))
+	}
+	if good, n := intactFrames(buf); good != len(buf) || n != len(payloads) {
+		t.Errorf("intactFrames = %d bytes / %d frames, want %d / %d", good, n, len(buf), len(payloads))
 	}
 	if len(got) != len(payloads) {
 		t.Fatalf("got %d payloads, want %d", len(got), len(payloads))
@@ -64,12 +100,9 @@ func TestTruncatedTailDetected(t *testing.T) {
 
 	// Chop the second frame at every possible byte boundary (cutting at
 	// exactly intactLen is a clean end, not truncation): the intact
-	// prefix must always survive, never error.
+	// prefix must always survive.
 	for cut := intactLen + 1; cut < int64(len(full)); cut++ {
-		got, goodOffset, truncated, err := readFrames(bytes.NewReader(full[:cut]))
-		if err != nil {
-			t.Fatalf("cut=%d: err=%v", cut, err)
-		}
+		got, goodOffset, truncated := splitFrames(full[:cut])
 		if !truncated {
 			t.Fatalf("cut=%d: truncation not detected", cut)
 		}
@@ -83,9 +116,9 @@ func TestChecksumMismatchIsTruncation(t *testing.T) {
 	buf := appendFrame(nil, []byte("first"))
 	buf = appendFrame(buf, []byte("second"))
 	buf[len(buf)-1] ^= 0xff // corrupt the last payload byte
-	got, _, truncated, err := readFrames(bytes.NewReader(buf))
-	if err != nil || !truncated {
-		t.Fatalf("err=%v truncated=%v", err, truncated)
+	got, _, truncated := splitFrames(buf)
+	if !truncated {
+		t.Fatalf("truncated=%v", truncated)
 	}
 	if len(got) != 1 {
 		t.Fatalf("payloads = %d, want 1", len(got))
@@ -163,7 +196,10 @@ func TestCompactionKeepsStateAndPrunesFiles(t *testing.T) {
 	if err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	apply(Record{Op: OpApptIssue, Service: "s", Serial: 9, Appt: nil}) // nil appt: ignored by Apply
+	apply(Record{Op: OpApptIssue, Service: "s", Serial: 9, Appt: &cert.AppointmentCertificate{
+		Issuer: "s", Serial: 9, Kind: "employed_as", Params: []names.Term{names.Atom("st_marys"), names.Int(-3)},
+		Holder: "dr \"j\" <jones> & co", AppointedBy: "hr/é", IssuedAt: time.Unix(1_000_000_000, 42), KeyID: 7, Sig: [32]byte{9, 8, 7},
+	}})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +244,7 @@ func TestCrashMidAppendTruncatesAndKeepsAppending(t *testing.T) {
 		t.Fatalf("wals=%v err=%v", wals, err)
 	}
 	path := filepath.Join(dir, walName(wals[0]))
-	torn := appendFrame(nil, []byte(`{"op":"cr-","svc":"s","serial":1}`))
+	torn := recFrame(t, Record{Op: OpCRRevoke, Service: "s", Serial: 1})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +296,7 @@ func TestCorruptionBelowTailRefused(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	gen2 := appendFrame(nil, []byte(`{"op":"cr+","svc":"s","serial":2,"subject":"s.r","holder":"h2"}`))
+	gen2 := append([]byte(segmentMagic), recFrame(t, Record{Op: OpCRIssue, Service: "s", Serial: 2, Subject: "s.r", Holder: "h2"})...)
 	if err := os.WriteFile(filepath.Join(dir, walName(2)), gen2, 0o600); err != nil {
 		t.Fatal(err)
 	}

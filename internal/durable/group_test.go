@@ -52,7 +52,7 @@ func TestAppendGroupContiguous(t *testing.T) {
 	}
 
 	gen, _ := l.ActiveGen()
-	recs, _, err := ReadSegmentAt(l.Dir(), gen, 0)
+	recs, _, err := readSegmentRecs(l.Dir(), gen, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

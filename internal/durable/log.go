@@ -1,10 +1,7 @@
 package durable
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -67,7 +64,7 @@ type ReplayStats struct {
 	SnapshotLoaded bool          //
 	Records        int           // journal records replayed
 	TruncatedBytes int64         // bytes discarded from a torn journal tail
-	Elapsed        time.Duration //
+	Elapsed        time.Duration // Open plus the first Recovered: replay through state hand-off
 }
 
 // Log is a daemon's durable state: the append-only journal plus the
@@ -147,14 +144,17 @@ type Log struct {
 	urgent  chan struct{} // cuts the group-commit nap short: batch already formed upstream
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	replay  ReplayStats
 	lastErr error // guarded by mu
+
+	replay    ReplayStats // guarded by flushMu once Open has returned
+	handedOff bool        // the first Recovered has been timed into replay.Elapsed
 
 	appendRecords *obs.Counter
 	appendBatches *obs.Counter
 	appendBytes   *obs.Counter
 	appendErrors  *obs.Counter
-	replayRecords *obs.Counter
+	replayRecords *obs.Gauge
+	replayNs      *obs.Gauge
 	replayTrunc   *obs.Counter
 	snapshots     *obs.Counter
 	autoCompacts  *obs.Counter
@@ -209,7 +209,8 @@ func Open(opts Options) (*Log, error) {
 		appendBatches: opts.Obs.Counter("durable_append_batches_total"),
 		appendBytes:   opts.Obs.Counter("durable_append_bytes_total"),
 		appendErrors:  opts.Obs.Counter("durable_append_errors_total"),
-		replayRecords: opts.Obs.Counter("durable_replay_records_total"),
+		replayRecords: opts.Obs.Gauge("durable_replay_records"),
+		replayNs:      opts.Obs.Gauge("durable_replay_ns"),
 		replayTrunc:   opts.Obs.Counter("durable_replay_truncated_records_total"),
 		snapshots:     opts.Obs.Counter("durable_snapshot_writes_total"),
 		autoCompacts:  opts.Obs.Counter("durable_autocompactions_total"),
@@ -237,144 +238,119 @@ func (l *Log) recover() error {
 		return err
 	}
 	l.id, l.epoch = id, epoch
-	wals, snaps, err := listGens(l.dir)
+
+	c, err := loadChain(l.dir)
 	if err != nil {
 		return err
 	}
-
-	// Newest readable snapshot wins; an unreadable one falls back to the
-	// previous generation (whose journals are only deleted after a
-	// successful snapshot, so the fallback replays the full history).
-	var base uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		st, serr := readSnapshot(l.dir, snaps[i])
-		if serr != nil {
-			continue
-		}
-		l.state = st
-		base = snaps[i]
-		l.replay.SnapshotGen = snaps[i]
-		l.replay.SnapshotLoaded = true
-		break
-	}
-
-	// Replay journal generations >= base, ascending. Only the newest
-	// may have a torn tail; damage below that is corruption.
-	active := base
-	if len(wals) > 0 && wals[len(wals)-1] > active {
-		active = wals[len(wals)-1]
-	}
-	if active == 0 {
-		active = 1 // fresh directory: generations start at 1
-	}
-	for _, gen := range wals {
-		if gen < base {
-			continue
-		}
-		path := filepath.Join(l.dir, walName(gen))
-		recs, goodOffset, truncated, rerr := readWAL(path)
-		if rerr != nil {
-			return rerr
-		}
-		if truncated && gen != active {
-			return fmt.Errorf("%w: %s is damaged below the journal tail", ErrCorrupt, walName(gen))
-		}
-		for _, r := range recs {
-			l.state.Apply(r)
-		}
-		l.replay.Records += len(recs)
-		l.replayRecords.Add(uint64(len(recs)))
-		if truncated {
-			fi, serr := os.Stat(path)
-			if serr != nil {
-				return serr
-			}
-			l.replay.TruncatedBytes += fi.Size() - goodOffset
-			l.replayTrunc.Inc()
-			if terr := os.Truncate(path, goodOffset); terr != nil {
-				return fmt.Errorf("discard torn journal tail: %w", terr)
-			}
+	l.state, l.replay = c.state, c.stats
+	if c.tail.torn > 0 {
+		// A crash mid-append: discard the torn tail of the newest
+		// generation (a cut-short header goes entirely; openSegment
+		// writes a fresh one).
+		l.replay.TruncatedBytes = c.tail.torn
+		l.replayTrunc.Inc()
+		if err := os.Truncate(filepath.Join(l.dir, walName(c.newest)), c.tail.good); err != nil {
+			return fmt.Errorf("discard torn journal tail: %w", err)
 		}
 	}
-
-	f, err := os.OpenFile(filepath.Join(l.dir, walName(active)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
+	// Append to the newest generation; a snapshot newer than every
+	// journal file (or a fresh directory, where generations start at 1)
+	// opens a new one.
+	active := max(c.newest, c.stats.SnapshotGen, 1)
+	l.f, l.size, err = openSegment(l.dir, active, l.noSync)
 	if err != nil {
 		return err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close() //nolint:errcheck
-		return err
-	}
-	l.f, l.size, l.gen = f, fi.Size(), active
+	l.gen = active
 	l.replay.Elapsed = time.Since(start)
+	l.replayRecords.Set(int64(l.replay.Records))
+	l.replayNs.Set(int64(l.replay.Elapsed))
 	return nil
 }
 
-// readState is the offline half of recover: load the newest readable
-// snapshot and replay every journal generation at or above it, without
-// mutating anything on disk. A torn tail is tolerated only on the newest
-// generation (mirroring recovery); the caller must hold flushMu (or
-// otherwise exclude concurrent writes) for a consistent read.
-func readState(dir string) (*State, error) {
-	wals, snaps, err := listGens(dir)
-	if err != nil {
-		return nil, err
-	}
-	st := NewState()
-	var base uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		s, serr := readSnapshot(dir, snaps[i])
-		if serr != nil {
-			continue
-		}
-		st = s
-		base = snaps[i]
-		break
-	}
-	var active uint64
-	if len(wals) > 0 {
-		active = wals[len(wals)-1]
-	}
-	for _, gen := range wals {
-		if gen < base {
-			continue
-		}
-		recs, _, truncated, rerr := readWAL(filepath.Join(dir, walName(gen)))
-		if rerr != nil {
-			return nil, rerr
-		}
-		if truncated && gen != active {
-			return nil, fmt.Errorf("%w: %s is damaged below the journal tail", ErrCorrupt, walName(gen))
-		}
-		for _, r := range recs {
-			st.Apply(r)
-		}
-	}
-	return st, nil
+// chain is what a read-only pass over a state directory found.
+type chain struct {
+	state  *State
+	stats  ReplayStats
+	newest uint64      // newest journal generation on disk (0 = none)
+	tail   segmentScan // scan of that generation, when it was replayed
 }
 
-// ReplayStats reports what Open recovered.
-func (l *Log) ReplayStats() ReplayStats { return l.replay }
+// loadChain is the read-only core of recovery: load the newest readable
+// snapshot and replay every journal generation at or above it, in
+// order, mutating nothing on disk. A torn tail is tolerated only on the
+// newest generation; the caller must exclude concurrent writes (hold
+// flushMu) for a consistent read.
+func loadChain(dir string) (chain, error) {
+	wals, snaps, err := listGens(dir)
+	if err != nil {
+		return chain{}, err
+	}
+	c := chain{state: NewState()}
+	// Newest readable snapshot wins; an unreadable one falls back to the
+	// previous generation (whose journals are only deleted after a
+	// successful snapshot, so the fallback replays the full history).
+	for i := len(snaps) - 1; i >= 0; i-- {
+		st := NewState()
+		if _, serr := readSnapshot(dir, snaps[i], func(r *Record) { st.Apply(*r) }); serr != nil {
+			continue
+		}
+		c.state = st
+		c.stats.SnapshotGen, c.stats.SnapshotLoaded = snaps[i], true
+		break
+	}
+	if len(wals) > 0 {
+		c.newest = wals[len(wals)-1]
+	}
+	for _, gen := range wals {
+		if gen < c.stats.SnapshotGen {
+			continue
+		}
+		sc, err := replaySegment(dir, gen, gen == c.newest, c.state)
+		if err != nil {
+			return chain{}, err
+		}
+		c.stats.Records += sc.records
+		if gen == c.newest {
+			c.tail = sc
+		}
+	}
+	return c, nil
+}
+
+// ReplayStats reports what Open recovered. Elapsed runs from Open
+// through the first Recovered call: replay is not over until the state
+// has been handed to whoever rebuilds services from it.
+func (l *Log) ReplayStats() ReplayStats {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	return l.replay
+}
 
 // Recovered returns a deep copy of the journaled state — the replayed
 // state plus anything appended since — for rebuilding services at boot.
 // The live mirror answers directly; only after a write error (mirror and
 // file divorced) does it re-read the journal, which is the authority.
 func (l *Log) Recovered() (*State, error) {
+	start := time.Now()
 	l.flush() // everything queued must be on disk (or in the boot state)
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
+	var st *State
 	if l.mirrorBroken {
-		return readState(l.dir)
+		c, err := loadChain(l.dir)
+		if err != nil {
+			return nil, err
+		}
+		st = c.state
+	} else {
+		st = l.state.Clone()
 	}
-	raw, err := json.Marshal(l.state)
-	if err != nil {
-		return nil, err
-	}
-	st := NewState()
-	if err := json.Unmarshal(raw, st); err != nil {
-		return nil, err
+	if !l.handedOff {
+		l.handedOff = true
+		l.replay.Elapsed += time.Since(start)
+		l.replayNs.Set(int64(l.replay.Elapsed))
 	}
 	return st, nil
 }
@@ -561,25 +537,13 @@ func (l *Log) flushSync(force bool) {
 	buf := l.wbuf[:0]
 	var encErr error
 	for i := range batch {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-		if b, ok := appendRecordJSON(buf, &batch[i].rec); ok {
-			buf = b
-			payload := buf[start+frameHeaderSize:]
-			binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
-			binary.BigEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
-			continue
-		}
-		buf = buf[:start]
-		payload, err := json.Marshal(batch[i].rec)
-		if err != nil { // no Record field fails to marshal; defensive
+		var err error
+		if buf, err = appendRecordFrame(buf, &batch[i].rec); err != nil {
 			encErr = err
 			// Zero the record so the mirror apply below skips it too —
 			// mirror and file must agree on what was committed.
 			batch[i].rec = Record{}
-			continue
 		}
-		buf = appendFrame(buf, payload)
 	}
 	for i := range batch {
 		switch batch[i].rec.Op {
@@ -795,21 +759,15 @@ func (l *Log) Compact() error {
 	l.flushMu.Lock()
 	l.ioMu.Lock()
 	newGen := l.gen + 1
-	nf, err := os.OpenFile(filepath.Join(l.dir, walName(newGen)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
+	nf, size, err := openSegment(l.dir, newGen, l.noSync)
 	if err != nil {
-		l.ioMu.Unlock()
-		l.flushMu.Unlock()
-		return err
-	}
-	if err := syncDir(l.dir); err != nil {
-		nf.Close() //nolint:errcheck
 		l.ioMu.Unlock()
 		l.flushMu.Unlock()
 		return err
 	}
 	old := l.f
 	oldGen := l.gen
-	l.f, l.size, l.gen = nf, 0, newGen
+	l.f, l.size, l.gen = nf, size, newGen
 	old.Close() //nolint:errcheck // fully flushed by the flush above
 	l.ioMu.Unlock()
 
@@ -817,26 +775,23 @@ func (l *Log) Compact() error {
 		// A past write error divorced mirror and file; the chain on disk
 		// is the authority, so re-adopt it (the rare slow path — held
 		// under flushMu like the pre-mirror Compact always was).
-		st, rerr := readState(l.dir)
+		c, rerr := loadChain(l.dir)
 		if rerr != nil {
 			l.flushMu.Unlock()
 			return rerr
 		}
-		l.state = st
+		l.state = c.state
 		l.mirrorBroken = false
 	}
-	payload, err := json.Marshal(l.state)
+	image := EncodeSnapshot(l.state)
 	garbageSealed := l.garbage
 	l.flushMu.Unlock()
-	if err != nil {
-		return err
-	}
 	// The stall is over: appends flow into the fresh generation while the
 	// snapshot lands and old generations are pruned. Tailers parked at
 	// the sealed generation's EOF get woken to follow the rotation.
 	l.notifyCommit()
 
-	if err := writeSnapshotPayload(l.dir, newGen, payload); err != nil {
+	if err := writeSnapshot(l.dir, newGen, image); err != nil {
 		return err
 	}
 	l.snapshots.Inc()

@@ -61,8 +61,9 @@ const (
 	OpFactRetract Op = "fact-"
 )
 
-// Record is one journal entry. Fields are a union over the ops; unused
-// fields stay at their zero values and are omitted from the encoding.
+// Record is one journal entry. Fields are a union over the ops; the
+// encoding carries only the fields the record's Op defines (codec.go).
+// The json tags are the legacy journal's, read only by the migrator.
 type Record struct {
 	Op      Op     `json:"op"`
 	Service string `json:"svc,omitempty"`
@@ -145,7 +146,7 @@ func (st *State) service(name string) *ServiceState {
 		}
 		st.Services[name] = ss
 	}
-	// Maps may be nil after a JSON round-trip of a partial state.
+	// Maps may be nil in a state decoded from a legacy JSON snapshot.
 	if ss.CRs == nil {
 		ss.CRs = make(map[uint64]*CRState)
 	}
@@ -153,6 +154,37 @@ func (st *State) service(name string) *ServiceState {
 		ss.Appts = make(map[uint64]*ApptState)
 	}
 	return ss
+}
+
+// Clone returns a deep copy: nothing reachable from the result is
+// shared with st, so the caller may keep it while st keeps applying.
+func (st *State) Clone() *State {
+	out := &State{
+		Services: make(map[string]*ServiceState, len(st.Services)),
+		Facts:    make(map[string]Fact, len(st.Facts)),
+	}
+	for name, ss := range st.Services {
+		cp := &ServiceState{
+			Secrets: append([]sign.Secret(nil), ss.Secrets...),
+			Retain:  ss.Retain,
+			CRs:     make(map[uint64]*CRState, len(ss.CRs)),
+			Appts:   make(map[uint64]*ApptState, len(ss.Appts)),
+		}
+		for serial, cr := range ss.CRs {
+			c := *cr
+			cp.CRs[serial] = &c
+		}
+		for serial, a := range ss.Appts {
+			c := *a
+			c.Cert.Params = append([]names.Term(nil), a.Cert.Params...)
+			cp.Appts[serial] = &c
+		}
+		out.Services[name] = cp
+	}
+	for key, f := range st.Facts {
+		out.Facts[key] = Fact{Relation: f.Relation, Tuple: append([]names.Term(nil), f.Tuple...)}
+	}
+	return out
 }
 
 // FactKey canonically identifies a ground tuple within a relation.

@@ -77,6 +77,17 @@ func TestMirrorMatchesDisk(t *testing.T) {
 	check("final")
 }
 
+// readSegmentRecs is ReadSegmentAt with the frames decoded, as a tailer
+// on the far side of the replication stream would see them.
+func readSegmentRecs(dir string, gen uint64, off int64) ([]Record, int64, error) {
+	frames, _, next, err := ReadSegmentAt(dir, gen, off)
+	if err != nil {
+		return nil, next, err
+	}
+	recs, err := DecodeFrames(frames)
+	return recs, next, err
+}
+
 // TestReadSegmentAtFollowsRotation tails a live log through appends and a
 // compaction with ReadSegmentAt + ActiveGen, asserting every record is
 // seen exactly once across the wal-* rotation.
@@ -92,7 +103,7 @@ func TestReadSegmentAtFollowsRotation(t *testing.T) {
 	cur := Cursor{Gen: 1}
 	drain := func() {
 		for {
-			recs, next, err := ReadSegmentAt(dir, cur.Gen, cur.Off)
+			recs, next, err := readSegmentRecs(dir, cur.Gen, cur.Off)
 			if err == ErrNoSegment {
 				// The segment was pruned by a compaction; the test drained
 				// it fully beforehand (a real follower would reset from the

@@ -43,75 +43,38 @@ func Verify(dir string) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var base uint64
-	var haveBase bool
 	for _, gen := range snaps {
 		sr := SegmentReport{Name: snapName(gen), Gen: gen}
-		if fi, err := os.Stat(filepath.Join(dir, snapName(gen))); err == nil {
-			sr.Bytes = fi.Size()
-		}
-		st, serr := readSnapshot(dir, gen)
+		image, serr := readSnapshot(dir, gen, func(*Record) { sr.Records++ })
+		sr.Bytes = int64(len(image))
 		if serr != nil {
-			sr.Err = serr.Error()
+			sr.Err, sr.Records = serr.Error(), 0
 			rep.OK = false
-		} else {
-			sr.Records = 1
-			_ = st
-			base, haveBase = gen, true
 		}
 		rep.Segments = append(rep.Segments, sr)
 	}
-
-	active := uint64(0)
-	if len(wals) > 0 {
-		active = wals[len(wals)-1]
-	}
-	for _, gen := range wals {
-		path := filepath.Join(dir, walName(gen))
+	for i, gen := range wals {
 		sr := SegmentReport{Name: walName(gen), Gen: gen}
-		if fi, err := os.Stat(path); err == nil {
+		if fi, err := os.Stat(filepath.Join(dir, walName(gen))); err == nil {
 			sr.Bytes = fi.Size()
 		}
-		recs, goodOffset, truncated, rerr := readWAL(path)
+		sc, rerr := replaySegment(dir, gen, i == len(wals)-1, NewState())
+		sr.Records, sr.TornBytes, sr.Truncated = sc.records, sc.torn, sc.torn > 0
 		if rerr != nil {
 			sr.Err = rerr.Error()
 			rep.OK = false
-			rep.Segments = append(rep.Segments, sr)
-			continue
-		}
-		sr.Records = len(recs)
-		sr.Truncated = truncated
-		if truncated {
-			sr.TornBytes = sr.Bytes - goodOffset
-			if gen != active {
-				sr.Err = fmt.Sprintf("damage below the journal tail (%s is not the newest generation)", walName(gen))
-				rep.OK = false
-			}
 		}
 		rep.Segments = append(rep.Segments, sr)
 	}
 
-	// Offline replay, mirroring Open: newest readable snapshot, then
+	// Offline replay, exactly Open's: newest readable snapshot, then the
 	// journal generations at or above it.
-	st := NewState()
-	if haveBase {
-		if loaded, err := readSnapshot(dir, base); err == nil {
-			st = loaded
-		}
+	c, err := loadChain(dir)
+	if err != nil {
+		rep.OK = false
+		return rep, nil
 	}
-	for _, gen := range wals {
-		if haveBase && gen < base {
-			continue
-		}
-		recs, _, _, rerr := readWAL(filepath.Join(dir, walName(gen)))
-		if rerr != nil {
-			continue
-		}
-		for _, r := range recs {
-			st.Apply(r)
-		}
-	}
+	st := c.state
 	rep.Services = len(st.Services)
 	for _, ss := range st.Services {
 		rep.CRs += len(ss.CRs)

@@ -1,12 +1,8 @@
 package durable
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,22 +16,13 @@ import (
 // deletes older generations. Recovery loads the newest readable snapshot
 // and replays every journal generation at or above it, in order — replay
 // is idempotent, so the overlap between a snapshot and the generation it
-// sealed is harmless.
-
-// frameHeaderSize is the per-record framing overhead: a 4-byte big-endian
-// payload length followed by a 4-byte CRC32 (IEEE) of the payload.
-const frameHeaderSize = 8
-
-// maxFrameSize bounds a single record; anything larger in a file is
-// treated as corruption rather than an allocation request.
-const maxFrameSize = 16 << 20
-
-// ErrCorrupt reports a record that fails its checksum or framing away
-// from the journal tail — damage that replay cannot safely skip.
-var ErrCorrupt = errors.New("durable: corrupt journal record")
+// sealed is harmless. The byte format of both is in codec.go.
 
 func walName(gen uint64) string  { return fmt.Sprintf("wal-%08d.log", gen) }
-func snapName(gen uint64) string { return fmt.Sprintf("snap-%08d.json", gen) }
+func snapName(gen uint64) string { return fmt.Sprintf("snap-%08d.bin", gen) }
+
+// legacySnapSuffix marks a snapshot of the JSON journal.
+const legacySnapSuffix = ".json"
 
 // parseGen extracts the generation from a wal/snap file name, reporting
 // whether the name matches the given prefix scheme.
@@ -51,8 +38,15 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 	return gen, true
 }
 
+// legacyError names the file that gave a pre-v2 directory away and the
+// command that converts it.
+func legacyError(dir, name string) error {
+	return fmt.Errorf("%w: %s; run `oasisctl state migrate -state-dir %s` once to convert them", ErrLegacyFormat, name, dir)
+}
+
 // listGens scans dir for wal and snapshot generations, each sorted
-// ascending.
+// ascending. A JSON-era snapshot makes the whole directory legacy: it is
+// refused here, before anything reads a byte of it.
 func listGens(dir string) (wals, snaps []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -62,8 +56,11 @@ func listGens(dir string) (wals, snaps []uint64, err error) {
 		if gen, ok := parseGen(e.Name(), "wal-", ".log"); ok {
 			wals = append(wals, gen)
 		}
-		if gen, ok := parseGen(e.Name(), "snap-", ".json"); ok {
+		if gen, ok := parseGen(e.Name(), "snap-", ".bin"); ok {
 			snaps = append(snaps, gen)
+		}
+		if _, ok := parseGen(e.Name(), "snap-", legacySnapSuffix); ok {
+			return nil, nil, legacyError(dir, e.Name())
 		}
 	}
 	sort.Slice(wals, func(i, j int) bool { return wals[i] < wals[j] })
@@ -71,109 +68,94 @@ func listGens(dir string) (wals, snaps []uint64, err error) {
 	return wals, snaps, nil
 }
 
-// appendFrame appends one length-prefixed checksummed payload to buf.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	return append(append(buf, hdr[:]...), payload...)
-}
-
-// readFrames reads consecutive frames from r, returning the decoded
-// payloads and the byte offset of the first byte past the last intact
-// frame. truncated reports that the stream ended mid-frame or with a
-// checksum mismatch — the signature of a crash mid-append.
-func readFrames(r io.Reader) (payloads [][]byte, goodOffset int64, truncated bool, err error) {
-	br := &countingReader{r: r}
-	for {
-		var hdr [frameHeaderSize]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) && br.n == goodOffset {
-				return payloads, goodOffset, false, nil // clean end
-			}
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return payloads, goodOffset, true, nil // partial header
-			}
-			return payloads, goodOffset, false, err
-		}
-		size := binary.BigEndian.Uint32(hdr[:4])
-		sum := binary.BigEndian.Uint32(hdr[4:])
-		if size == 0 || size > maxFrameSize {
-			return payloads, goodOffset, true, nil // nonsense length: torn write
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return payloads, goodOffset, true, nil // partial payload
-			}
-			return payloads, goodOffset, false, err
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return payloads, goodOffset, true, nil // checksum mismatch
-		}
-		payloads = append(payloads, payload)
-		goodOffset = br.n
-	}
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readWAL decodes one journal segment. A damaged tail yields the intact
-// prefix with truncated=true; a record that fails to decode as JSON is
-// treated the same way (it can only be the torn tail of a crashed
-// append — full frames are checksummed).
-func readWAL(path string) (recs []Record, goodOffset int64, truncated bool, err error) {
-	f, err := os.Open(path)
+// openSegment opens wal-<gen> for appending, creating it when missing. A
+// new (or emptied) file gets its magic written and — unless noSync —
+// fsynced together with the directory entry before any record can
+// follow, so a sealed generation always starts with a whole header.
+func openSegment(dir string, gen uint64, noSync bool) (f *os.File, size int64, err error) {
+	f, err = os.OpenFile(filepath.Join(dir, walName(gen)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
-	defer f.Close() //nolint:errcheck // read-only
-	payloads, goodOffset, truncated, err := readFrames(f)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("read %s: %w", filepath.Base(path), err)
-	}
-	offset := int64(0)
-	for _, p := range payloads {
-		var r Record
-		if jerr := json.Unmarshal(p, &r); jerr != nil {
-			return recs, offset, true, nil
+	defer func() {
+		if err != nil {
+			f.Close() //nolint:errcheck // the open or header write already failed
 		}
-		offset += frameHeaderSize + int64(len(p))
-		recs = append(recs, r)
-	}
-	return recs, goodOffset, truncated, nil
-}
-
-// writeSnapshot atomically writes the state as snap-<gen>: encode to a
-// temp file (one checksummed frame), fsync, rename into place, fsync the
-// directory so the rename is durable.
-func writeSnapshot(dir string, gen uint64, st *State) error {
-	payload, err := json.Marshal(st)
+	}()
+	fi, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("encode snapshot: %w", err)
+		return nil, 0, err
 	}
-	return writeSnapshotPayload(dir, gen, payload)
+	if fi.Size() > 0 {
+		return f, fi.Size(), nil
+	}
+	if _, err = f.WriteString(segmentMagic); err != nil {
+		return nil, 0, err
+	}
+	if !noSync {
+		if err = f.Sync(); err != nil {
+			return nil, 0, err
+		}
+		if err = syncDir(dir); err != nil {
+			return nil, 0, err
+		}
+	}
+	return f, SegmentStart, nil
 }
 
-// writeSnapshotPayload is writeSnapshot for an already-encoded state, so
-// Compact can marshal under its lock and do the disk work outside it.
-func writeSnapshotPayload(dir string, gen uint64, payload []byte) error {
-	buf := appendFrame(nil, payload)
+// segmentScan is what one pass over a segment image found.
+type segmentScan struct {
+	records int
+	good    int64 // offset just past the last intact frame; 0 = no whole header
+	torn    int64 // bytes past good: a torn append
+}
+
+// scanSegment walks a whole segment image: magic, then frames, applying
+// every record. A wrong magic is an error (legacy or unknown version); a
+// frame that checksums but does not decode is ErrCorrupt.
+func scanSegment(b []byte, apply func(*Record)) (segmentScan, error) {
+	short, err := checkMagic(b, segmentMagic)
+	if err != nil {
+		return segmentScan{}, err
+	}
+	if short {
+		return segmentScan{torn: int64(len(b))}, nil
+	}
+	records, _, good, err := scanFrames(b[SegmentStart:], apply)
+	sc := segmentScan{records: records, good: SegmentStart + int64(good)}
+	sc.torn = int64(len(b)) - sc.good
+	return sc, err
+}
+
+// replaySegment reads wal-<gen> in one go and applies it to st. Only the
+// newest generation may be torn; damage below it is ErrCorrupt.
+func replaySegment(dir string, gen uint64, newest bool, st *State) (segmentScan, error) {
+	b, err := os.ReadFile(filepath.Join(dir, walName(gen)))
+	if err != nil {
+		return segmentScan{}, err
+	}
+	sc, err := scanSegment(b, func(r *Record) { st.Apply(*r) })
+	switch {
+	case errors.Is(err, ErrLegacyFormat):
+		return sc, legacyError(dir, walName(gen))
+	case err != nil:
+		return sc, fmt.Errorf("%s: %w", walName(gen), err)
+	case (sc.torn > 0 || sc.good == 0) && !newest:
+		return sc, fmt.Errorf("%w: %s is damaged below the journal tail", ErrCorrupt, walName(gen))
+	}
+	return sc, nil
+}
+
+// writeSnapshot atomically writes an encoded snapshot image as
+// snap-<gen>: temp file, fsync, rename into place, fsync the directory so
+// the rename is durable.
+func writeSnapshot(dir string, gen uint64, image []byte) error {
 	tmp := filepath.Join(dir, snapName(gen)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(image); err != nil {
 		f.Close() //nolint:errcheck
 		return err
 	}
@@ -190,29 +172,21 @@ func writeSnapshotPayload(dir string, gen uint64, payload []byte) error {
 	return syncDir(dir)
 }
 
-// readSnapshot loads snap-<gen>, verifying its checksum.
-func readSnapshot(dir string, gen uint64) (*State, error) {
-	f, err := os.Open(filepath.Join(dir, snapName(gen)))
+// readSnapshot reads snap-<gen>, proves the image whole and decodable by
+// handing every record of it to apply, and returns the image.
+func readSnapshot(dir string, gen uint64, apply func(*Record)) ([]byte, error) {
+	b, err := os.ReadFile(filepath.Join(dir, snapName(gen)))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() //nolint:errcheck // read-only
-	payloads, _, truncated, err := readFrames(f)
-	if err != nil {
-		return nil, err
+	if err := scanSnapshot(b, apply); err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w", snapName(gen), err)
 	}
-	if truncated || len(payloads) != 1 {
-		return nil, fmt.Errorf("%w: snapshot %s", ErrCorrupt, snapName(gen))
-	}
-	st := NewState()
-	if err := json.Unmarshal(payloads[0], st); err != nil {
-		return nil, fmt.Errorf("decode snapshot %s: %w", snapName(gen), err)
-	}
-	return st, nil
+	return b, nil
 }
 
 // sweepTmp removes leftover *.tmp files from dir. A crash between
-// writeSnapshot's temp-file create and its rename leaves snap-*.json.tmp
+// writeSnapshot's temp-file create and its rename leaves snap-*.bin.tmp
 // behind forever — listGens ignores the suffix, so nothing ever read it,
 // but nothing deleted it either and a crash-looping daemon would grow one
 // orphan per attempt. Recovery is the natural sweep point: any .tmp here

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -27,10 +29,7 @@ func Handler(reg *Registry, tr *Tracer) http.Handler {
 		fmt.Fprint(w, "oasis observability endpoints:\n  /metrics\n  /trace?n=100\n  /debug/pprof/\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WriteText(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeRendered(w, "text/plain; version=0.0.4; charset=utf-8", reg.WriteText)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		limit := 0
@@ -42,10 +41,7 @@ func Handler(reg *Registry, tr *Tracer) http.Handler {
 			}
 			limit = v
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := tr.WriteJSON(w, limit); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeRendered(w, "application/json; charset=utf-8", func(w io.Writer) error { return tr.WriteJSON(w, limit) })
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -53,4 +49,19 @@ func Handler(reg *Registry, tr *Tracer) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// writeRendered renders a response body in memory and writes it once. A
+// render error can then still become a clean 500, and a client that
+// hangs up mid-body is simply dropped: answering its failed Write with
+// http.Error would be a second WriteHeader ("superfluous
+// response.WriteHeader call" in the daemon's log).
+func writeRendered(w http.ResponseWriter, contentType string, render func(io.Writer) error) {
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Write(buf.Bytes()) //nolint:errcheck // the client went away; nobody is left to tell
 }

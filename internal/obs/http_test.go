@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -61,5 +63,36 @@ func TestHandlerServesMetricsTraceAndPprof(t *testing.T) {
 	}
 	if code, _ := get("/nope"); code != 404 {
 		t.Errorf("/nope = %d, want 404", code)
+	}
+}
+
+// hangupWriter is a client that went away: every body write fails.
+type hangupWriter struct {
+	header       http.Header
+	writeHeaders int
+}
+
+func (w *hangupWriter) Header() http.Header { return w.header }
+func (w *hangupWriter) WriteHeader(int)     { w.writeHeaders++ }
+func (w *hangupWriter) Write([]byte) (int, error) {
+	if w.writeHeaders == 0 {
+		w.WriteHeader(http.StatusOK) // what net/http does on the first Write
+	}
+	return 0, errors.New("client hung up")
+}
+
+// TestHandlerFailedWriteIsNotAnsweredTwice pins the fix for the
+// "superfluous response.WriteHeader" log line: a body write that fails
+// must not be followed by an http.Error on the same response.
+func TestHandlerFailedWriteIsNotAnsweredTwice(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("up_total").Inc()
+	h := Handler(reg, NewTracer(4))
+	for _, path := range []string{"/metrics", "/trace"} {
+		w := &hangupWriter{header: make(http.Header)}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.writeHeaders != 1 {
+			t.Errorf("%s: %d WriteHeader calls on a failed write, want 1", path, w.writeHeaders)
+		}
 	}
 }

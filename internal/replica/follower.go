@@ -278,7 +278,7 @@ func (f *Follower) runStream() {
 			return
 		default:
 		}
-		st, cli, err := f.subscribe()
+		sub, err := f.subscribe()
 		if err != nil {
 			if !f.sleep(backoff) {
 				return
@@ -291,25 +291,46 @@ func (f *Follower) runStream() {
 		backoff = f.cfg.BaseBackoff
 		f.connects.Inc()
 		f.connected.Store(true)
+		damaged := false
 		select {
-		case <-st.Done():
-			f.connected.Store(false)
-			f.disconnects.Inc()
-			cli.Close() //nolint:errcheck
+		case <-sub.st.Done():
+		case <-sub.bad:
+			damaged = true
 		case <-f.stop:
-			cli.Close() //nolint:errcheck
+			sub.cli.Close() //nolint:errcheck
 			f.connected.Store(false)
+			return
+		}
+		f.connected.Store(false)
+		f.disconnects.Inc()
+		sub.cli.Close() //nolint:errcheck
+		// A stream that delivered damaged bytes resubscribes from
+		// scratch (subscription.fail zeroed the cursor) — after a beat,
+		// so a leader that keeps producing them is not hammered.
+		if damaged && !f.sleep(f.cfg.BaseBackoff) {
 			return
 		}
 	}
 }
 
+// subscription is the receive side of one subscribe_journal stream.
+type subscription struct {
+	f   *Follower
+	st  *rpc.ClientStream
+	cli *rpc.TCPClient
+	// bad is closed by the first message that does not check out; from
+	// then on the subscription ignores everything it is sent. Only the
+	// connection's read loop (onEvent) touches dead.
+	bad  chan struct{}
+	dead bool
+}
+
 // subscribe dials a dedicated connection and opens the journal stream
 // from the current cursor.
-func (f *Follower) subscribe() (*rpc.ClientStream, *rpc.TCPClient, error) {
+func (f *Follower) subscribe() (*subscription, error) {
 	cli, err := rpc.DialTCP(f.cfg.Leader, f.cfg.DialTimeout)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	f.mu.Lock()
 	cur := f.cursor
@@ -317,14 +338,15 @@ func (f *Follower) subscribe() (*rpc.ClientStream, *rpc.TCPClient, error) {
 	body, err := json.Marshal(cur)
 	if err != nil {
 		cli.Close() //nolint:errcheck
-		return nil, nil, err
+		return nil, err
 	}
-	st, err := cli.Stream(Service, MethodSubscribe, body, f.onEvent)
+	sub := &subscription{f: f, cli: cli, bad: make(chan struct{})}
+	sub.st, err = cli.Stream(Service, MethodSubscribe, body, sub.onEvent)
 	if err != nil {
 		cli.Close() //nolint:errcheck
-		return nil, nil, err
+		return nil, err
 	}
-	return st, cli, nil
+	return sub, nil
 }
 
 func (f *Follower) sleep(d time.Duration) bool {
@@ -338,37 +360,68 @@ func (f *Follower) sleep(d time.Duration) bool {
 	}
 }
 
-// onEvent consumes one stream message.
-func (f *Follower) onEvent(b []byte) {
-	var m Message
-	if err := json.Unmarshal(b, &m); err != nil {
-		f.applyErrs.Inc()
+// onEvent consumes one stream message. The body is decoded with the
+// journal's own reader — checksums and all — before a single record of
+// it is applied.
+func (s *subscription) onEvent(b []byte) {
+	if s.dead {
 		return
 	}
-	f.lastContact.Store(time.Now().UnixNano())
+	f := s.f
+	m, err := DecodeMessage(b)
+	if err != nil {
+		s.fail()
+		return
+	}
 	switch m.Kind {
 	case KindHello, KindHB:
 		f.mu.Lock()
 		f.cursor = m.Cursor
 		f.mu.Unlock()
 	case KindSnapshot:
-		f.applySnapshot(m)
+		st := durable.NewState() // an empty body is the empty state
+		if len(m.Body) > 0 {
+			if st, err = durable.DecodeSnapshot(m.Body); err != nil {
+				s.fail()
+				return
+			}
+		}
+		f.applySnapshot(st, m.Cursor)
 	case KindRecs:
-		f.applyRecs(m)
+		recs, err := durable.DecodeFrames(m.Body)
+		if err != nil {
+			s.fail()
+			return
+		}
+		f.applyRecs(recs, m.Cursor)
 	}
+	f.lastContact.Store(time.Now().UnixNano())
+}
+
+// fail retires the subscription after a message that does not decode or
+// fails a checksum: none of it is applied, nothing after it can be (a
+// frame was skipped), so the cursor is zeroed — the next subscription
+// starts from a snapshot — and runStream is told to drop the connection.
+func (s *subscription) fail() {
+	s.dead = true
+	s.f.applyErrs.Inc()
+	s.f.mu.Lock()
+	s.f.cursor = durable.Cursor{}
+	s.f.mu.Unlock()
+	close(s.bad)
 }
 
 // applyRecs folds shipped records into the mirror and the live services.
-func (f *Follower) applyRecs(m Message) {
+func (f *Follower) applyRecs(recs []durable.Record, cur durable.Cursor) {
 	f.mu.Lock()
 	var evs []event.Event
-	for _, r := range m.Recs {
+	for _, r := range recs {
 		f.state.Apply(r)
 		evs = append(evs, f.applyLive(r)...)
 	}
-	f.cursor = m.Cursor
+	f.cursor = cur
 	f.mu.Unlock()
-	f.applied.Add(uint64(len(m.Recs)))
+	f.applied.Add(uint64(len(recs)))
 	for _, ev := range evs {
 		f.cfg.Broker.Publish(ev) //nolint:errcheck // fire-and-forget fan-out
 	}
@@ -380,11 +433,7 @@ func (f *Follower) applyRecs(m Message) {
 // event is republished for every revoked entry, so follower-attached
 // edge caches cannot keep serving a verdict whose revocation fell into
 // the gap.
-func (f *Follower) applySnapshot(m Message) {
-	st := m.State
-	if st == nil {
-		st = durable.NewState()
-	}
+func (f *Follower) applySnapshot(st *durable.State, cur durable.Cursor) {
 	f.mu.Lock()
 	for _, svc := range f.svcs {
 		svc.Close()
@@ -406,7 +455,7 @@ func (f *Follower) applySnapshot(m Message) {
 			f.cfg.Store.Assert(fact.Relation, fact.Tuple...) //nolint:errcheck
 		}
 	}
-	f.cursor = m.Cursor
+	f.cursor = cur
 	var evs []event.Event
 	now := time.Now()
 	for name, ss := range st.Services {
@@ -447,16 +496,6 @@ func (f *Follower) applyLive(r durable.Record) []event.Event {
 		// edge caches drop the credential regardless.
 		svc := f.serviceLocked(r.Service)
 		if svc == nil {
-			return nil
-		}
-		if r.Op == durable.OpApptIssue && r.Appt == nil {
-			// Old journals shipped the certificate only in the mirror;
-			// fall back to it.
-			if ss := f.state.Services[r.Service]; ss != nil {
-				if a := ss.Appts[r.Serial]; a != nil && a.Cert.Issuer != "" {
-					svc.RestoreAppointment(a.Cert, a.Revoked)
-				}
-			}
 			return nil
 		}
 		evs, err := svc.ApplyReplicated(r)

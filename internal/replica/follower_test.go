@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/event"
 	"repro/internal/names"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/rpc"
 	"repro/internal/sign"
@@ -91,6 +93,11 @@ func signRing(ss *durable.ServiceState) (*sign.KeyRing, error) {
 
 func startTestFollower(t *testing.T, leaderAddr string, staleAfter time.Duration) *Follower {
 	t.Helper()
+	return startTestFollowerObs(t, leaderAddr, staleAfter, nil)
+}
+
+func startTestFollowerObs(t *testing.T, leaderAddr string, staleAfter time.Duration, reg *obs.Registry) *Follower {
+	t.Helper()
 	broker := event.NewBroker()
 	pool := rpc.NewDirectoryPool(2*time.Second, 1)
 	pool.Add(Service, leaderAddr)
@@ -103,6 +110,7 @@ func startTestFollower(t *testing.T, leaderAddr string, staleAfter time.Duration
 		DialTimeout: time.Second,
 		BaseBackoff: 10 * time.Millisecond,
 		MaxBackoff:  100 * time.Millisecond,
+		Obs:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,5 +332,77 @@ func TestFollowerResumesAcrossLeaderRestartAndRotation(t *testing.T) {
 	}
 	if valid, err := validateOn(t, h, rmc2, p2); err != nil || !valid {
 		t.Fatalf("post-restart credential: valid=%v err=%v, want valid on follower", valid, err)
+	}
+}
+
+// TestFollowerDropsStreamOnDamagedFrame puts a tampering hop between
+// leader and follower that flips one byte inside the first batch of
+// journal frames. The follower must apply none of that message (not even
+// the intact frames in front of the damaged one), drop the stream, and
+// come back through a snapshot reset to the leader's exact state.
+func TestFollowerDropsStreamOnDamagedFrame(t *testing.T) {
+	tl := startTestLeader(t, time.Second)
+	tl.activate(t)
+	rmc, principal := tl.activate(t)
+	if err := tl.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	var subs atomic.Int32
+	release := make(chan struct{})
+	front := rpc.NewTCPServer()
+	front.Register(Service, tl.ship.HandleCall)
+	front.Register("login", tl.svc.Handler())
+	front.RegisterStream(Service, MethodSubscribe, func(method string, body []byte, send func([]byte) error) (func(), error) {
+		if subs.Add(1) > 1 {
+			<-release // hold the resubscription until the test has looked
+			return tl.ship.HandleSubscribe(method, body, send)
+		}
+		tampered := false
+		return tl.ship.HandleSubscribe(method, body, func(b []byte) error {
+			if m, err := DecodeMessage(b); err == nil && m.Kind == KindRecs && !tampered {
+				tampered = true
+				b = append([]byte(nil), b...)
+				b[len(b)-1] ^= 0x01 // last payload byte of the last frame
+			}
+			return send(b)
+		})
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go front.Serve(ln) //nolint:errcheck
+	defer front.Close()
+
+	reg := obs.NewRegistry()
+	f := startTestFollowerObs(t, ln.Addr().String(), time.Minute, reg)
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Value("repl_apply_errors_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never noticed the damaged frame")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := reg.Value("repl_records_applied_total"); got != 0 {
+		t.Fatalf("follower applied %d records out of a message with a damaged frame", got)
+	}
+	if got, want := f.StateHash(), StateHash(durable.NewState()); got != want {
+		t.Fatal("follower state moved on a damaged message")
+	}
+	if cur := f.Cursor(); cur != (durable.Cursor{}) {
+		t.Fatalf("cursor after a damaged message = %v, want zero (snapshot reset on resubscribe)", cur)
+	}
+
+	close(release)
+	waitConverged(t, tl, f)
+	if got := reg.Value("repl_snapshots_applied_total"); got < 2 {
+		t.Errorf("repl_snapshots_applied_total = %d, want the initial reset and the one after the damage", got)
+	}
+	if got := reg.Value("repl_apply_errors_total"); got != 1 {
+		t.Errorf("repl_apply_errors_total = %d, want 1", got)
+	}
+	if valid, err := validateOn(t, f.Handler("login"), rmc, principal); err != nil || !valid {
+		t.Errorf("validation after recovery from the damaged stream: valid=%v err=%v", valid, err)
 	}
 }

@@ -130,12 +130,16 @@ func journalRevokeOrder(t *testing.T, l *durable.Log) []uint64 {
 	for gen := oldest; gen <= active; gen++ {
 		var off int64
 		for {
-			recs, next, err := durable.ReadSegmentAt(l.Dir(), gen, off)
+			frames, _, next, err := durable.ReadSegmentAt(l.Dir(), gen, off)
 			if err != nil {
 				if errors.Is(err, durable.ErrNoSegment) {
 					break
 				}
 				t.Fatalf("read gen %d: %v", gen, err)
+			}
+			recs, err := durable.DecodeFrames(frames)
+			if err != nil {
+				t.Fatalf("decode gen %d: %v", gen, err)
 			}
 			for _, r := range recs {
 				if r.Op == durable.OpCRRevoke {

@@ -8,10 +8,11 @@
 // cursor, catches up — from the newest compacting snapshot when its
 // cursor no longer addresses live history — and then tail-follows
 // committed frames as the leader's committer writes them. Because the
-// shipper reads the same on-disk bytes recovery would replay, a
-// follower can never observe a record the leader has not committed: the
-// replication stream is exactly the crash-recovery story, run
-// continuously over the wire.
+// shipper forwards the same on-disk bytes recovery would replay —
+// verbatim, checksums included, decoded only by the follower with the
+// journal's own reader — a follower can never observe a record the
+// leader has not committed: the replication stream is exactly the
+// crash-recovery story, run continuously over the wire.
 //
 // The follower applies frames to a mirrored durable.State and into live
 // read-only core Services (Config.ReadOnly), so validation callbacks and
@@ -24,9 +25,11 @@ package replica
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"fmt"
 
+	"repro/internal/cert"
 	"repro/internal/durable"
 )
 
@@ -51,24 +54,56 @@ const (
 const (
 	// KindHello acknowledges a resumed cursor: the follower's position
 	// was accepted verbatim, no catch-up needed.
-	KindHello = "hello"
-	// KindSnapshot carries a full state; the follower must discard what
-	// it has and adopt it, resuming at the accompanying cursor.
-	KindSnapshot = "snapshot"
-	// KindRecs carries committed journal records in order; the cursor is
+	KindHello byte = iota + 1
+	// KindSnapshot carries a snapshot image (empty for the empty state);
+	// the follower must discard what it has and adopt it, resuming at
+	// the accompanying cursor.
+	KindSnapshot
+	// KindRecs carries committed journal frames in order; the cursor is
 	// the position just past them.
-	KindRecs = "recs"
+	KindRecs
 	// KindHB is a liveness tick while the follower is caught up; it
 	// bounds the follower's read staleness.
-	KindHB = "hb"
+	KindHB
 )
 
-// Message is one frame on the subscribe_journal stream.
+// Message is one message on the subscribe_journal stream:
+//
+//	kind byte | journal id | epoch uvarint | gen uvarint | off uvarint | body
+//
+// Body is the journal's own bytes, forwarded verbatim: segment frames
+// for KindRecs (durable.DecodeFrames), a snapshot image for KindSnapshot
+// (durable.DecodeSnapshot), nothing otherwise.
 type Message struct {
-	Kind   string           `json:"kind"`
-	Cursor durable.Cursor   `json:"cursor"`
-	State  *durable.State   `json:"state,omitempty"`
-	Recs   []durable.Record `json:"recs,omitempty"`
+	Kind   byte
+	Cursor durable.Cursor
+	Body   []byte
+}
+
+// Encode renders m for the wire.
+func (m Message) Encode() []byte {
+	b := make([]byte, 0, 1+len(m.Cursor.ID)+3*binary.MaxVarintLen64+1+len(m.Body))
+	b = append(b, m.Kind)
+	b = cert.AppendLenString(b, m.Cursor.ID)
+	b = binary.AppendUvarint(b, m.Cursor.Epoch)
+	b = binary.AppendUvarint(b, m.Cursor.Gen)
+	b = binary.AppendUvarint(b, uint64(m.Cursor.Off))
+	return append(b, m.Body...)
+}
+
+// DecodeMessage parses one stream message; Body aliases b.
+func DecodeMessage(b []byte) (Message, error) {
+	r := cert.NewBinReader(b)
+	m := Message{Kind: r.Byte()}
+	m.Cursor = durable.Cursor{ID: r.Str(), Epoch: r.Uvarint(), Gen: r.Uvarint(), Off: int64(r.Uvarint())}
+	if err := r.Err(); err != nil {
+		return Message{}, fmt.Errorf("replica: stream message: %w", err)
+	}
+	if m.Kind < KindHello || m.Kind > KindHB || m.Cursor.Off < 0 {
+		return Message{}, fmt.Errorf("replica: stream message: kind %d, offset %d", m.Kind, m.Cursor.Off)
+	}
+	m.Body = r.Rest()
+	return m, nil
 }
 
 // LeaseResponse answers MethodLease: the leader's identity and the TTL
@@ -91,13 +126,9 @@ type StatusResponse struct {
 }
 
 // StateHash is a canonical digest of a replicated state, used to check
-// leader/follower convergence (encoding/json emits map keys sorted, so
+// leader/follower convergence (the snapshot encoding is canonical, so
 // equal states hash equal).
 func StateHash(st *durable.State) string {
-	b, err := json.Marshal(st)
-	if err != nil {
-		return "unmarshalable:" + err.Error()
-	}
-	sum := sha256.Sum256(b)
+	sum := sha256.Sum256(durable.EncodeSnapshot(st))
 	return hex.EncodeToString(sum[:])
 }

@@ -162,7 +162,7 @@ func (s *Shipper) run(cur durable.Cursor, send func([]byte) error, stop chan str
 			}
 			cur, reset = c, false
 		}
-		recs, next, err := durable.ReadSegmentAt(dir, cur.Gen, cur.Off)
+		frames, n, next, err := durable.ReadSegmentAt(dir, cur.Gen, cur.Off)
 		switch {
 		case err == nil:
 		case errors.Is(err, durable.ErrNoSegment), errors.Is(err, durable.ErrCursorAhead):
@@ -179,12 +179,14 @@ func (s *Shipper) run(cur durable.Cursor, send func([]byte) error, stop chan str
 			}
 			continue
 		}
-		if len(recs) > 0 {
-			cur.Off = next
-			if !s.emit(send, Message{Kind: KindRecs, Cursor: cur, Recs: recs}) {
+		cur.Off = next
+		if n > 0 {
+			// The committed bytes go out as they sit on disk; the journal
+			// writes one record per frame, so frames count records.
+			if !s.emit(send, Message{Kind: KindRecs, Cursor: cur, Body: frames}) {
 				return
 			}
-			s.recsShipped.Add(uint64(len(recs)))
+			s.recsShipped.Add(uint64(n))
 			continue
 		}
 		// Nothing intact at the cursor: either the generation rotated
@@ -202,7 +204,7 @@ func (s *Shipper) run(cur durable.Cursor, send func([]byte) error, stop chan str
 				}
 			case cur.Off >= size:
 				// Sealed and fully consumed: follow the rotation.
-				cur = durable.Cursor{ID: cur.ID, Epoch: cur.Epoch, Gen: cur.Gen + 1}
+				cur = durable.Cursor{ID: cur.ID, Epoch: cur.Epoch, Gen: cur.Gen + 1, Off: durable.SegmentStart}
 			default:
 				// A sealed segment with undecodable bytes before its end
 				// — only the active generation may carry a torn tail, so
@@ -230,12 +232,11 @@ func (s *Shipper) sendSnapshot(send func([]byte) error, stop chan struct{}) (dur
 			return durable.Cursor{}, false
 		default:
 		}
-		gen, st, ok, err := durable.LatestSnapshot(dir)
+		gen, image, ok, err := durable.LatestSnapshot(dir)
 		if err == nil && !ok {
 			// No snapshot yet: the whole history is still in the wal
 			// chain, so an empty state at the oldest segment covers it.
 			gen, ok, err = durable.OldestSegment(dir)
-			st = durable.NewState()
 		}
 		if err != nil || !ok {
 			// A listing error, or a directory with neither snapshots nor
@@ -250,8 +251,8 @@ func (s *Shipper) sendSnapshot(send func([]byte) error, stop chan struct{}) (dur
 			}
 			continue
 		}
-		cur := durable.Cursor{ID: s.log.ID(), Epoch: s.log.Epoch(), Gen: gen, Off: 0}
-		if !s.emit(send, Message{Kind: KindSnapshot, Cursor: cur, State: st}) {
+		cur := durable.Cursor{ID: s.log.ID(), Epoch: s.log.Epoch(), Gen: gen, Off: durable.SegmentStart}
+		if !s.emit(send, Message{Kind: KindSnapshot, Cursor: cur, Body: image}) {
 			return cur, false
 		}
 		s.snapsShipped.Inc()
@@ -274,12 +275,7 @@ func (s *Shipper) wait(notify, stop chan struct{}, send func([]byte) error, cur 
 	}
 }
 
-// emit marshals and sends one stream message; false means the
-// subscriber is gone.
+// emit sends one stream message; false means the subscriber is gone.
 func (s *Shipper) emit(send func([]byte) error, m Message) bool {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return false
-	}
-	return send(b) == nil
+	return send(m.Encode()) == nil
 }
