@@ -20,6 +20,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/names"
+	"repro/internal/obs"
 	"repro/internal/sign"
 	"repro/internal/trust"
 )
@@ -487,43 +488,60 @@ func BenchmarkSealedCallbackValidation(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E11 — multi-core scaling of the authorization hot path (run with
-// -cpu 1,4,8). The parallel variants drive the same operations as their
-// serial counterparts from every GOMAXPROCS worker at once, measuring how
-// the engine behaves when many sessions hit one service concurrently.
+// Multi-core hot path (run with -cpu 1,4,8). The parallel variants drive
+// the same operations as their serial counterparts from every GOMAXPROCS
+// worker at once, measuring how the engine behaves when many sessions hit
+// one service concurrently. On a host with fewer cores than -cpu they
+// measure oversubscription, not scaling.
 // ---------------------------------------------------------------------------
 
+// BenchmarkFig2InvokeCachedParallel is the cache-hit invoke steady state,
+// the tightest loop in the engine. Its obs=off / obs=on pair prices the
+// observability layer: obs=on threads a metrics registry and a tracer
+// through both services, and the budget is <5% over obs=off.
 func BenchmarkFig2InvokeCachedParallel(b *testing.B) {
-	w := experiments.NewWorld()
-	defer w.Close()
-	login, err := w.Service("login", `login.user <- env ok.`, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	experiments.AlwaysTrue(login, "ok")
-	guard, err := w.Service("guard", `auth enter <- login.user.`, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := experiments.NewSession()
-	rmc, err := login.Activate(sess.PrincipalID(), experiments.Role("login", "user"), core.Presented{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess.AddRMC(rmc)
-	creds := sess.Credentials()
-	// Warm the ECR cache so the steady state is measured.
-	if _, err := guard.Invoke(sess.PrincipalID(), "enter", nil, creds); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
+	for _, instrumented := range []bool{false, true} {
+		name := "obs=off"
+		if instrumented {
+			name = "obs=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			w := experiments.NewWorld()
+			defer w.Close()
+			if instrumented {
+				w.Obs = obs.NewRegistry()
+				w.Trace = obs.NewTracer(4096)
+			}
+			login, err := w.Service("login", `login.user <- env ok.`, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			experiments.AlwaysTrue(login, "ok")
+			guard, err := w.Service("guard", `auth enter <- login.user.`, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess := experiments.NewSession()
+			rmc, err := login.Activate(sess.PrincipalID(), experiments.Role("login", "user"), core.Presented{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess.AddRMC(rmc)
+			creds := sess.Credentials()
+			// Warm the ECR cache so the steady state is measured.
 			if _, err := guard.Invoke(sess.PrincipalID(), "enter", nil, creds); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, err := guard.Invoke(sess.PrincipalID(), "enter", nil, creds); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkFig4RMCValidateParallel(b *testing.B) {
@@ -687,9 +705,8 @@ func newRegistrationStore(b *testing.B, doctors, patients int) registrationStore
 }
 
 // ---------------------------------------------------------------------------
-// E20 — sequencer write path: pure mutation throughput.
-// Run with -cpu 1,4,8 to see the per-shard apply loop coalesce concurrent
-// issue/revoke traffic (cmd/benchtab -exp seqcore prints the full table).
+// Sequencer write path: pure mutation throughput. Run with -cpu 1,4,8 to
+// see the per-shard apply loop coalesce concurrent issue/revoke traffic.
 // ---------------------------------------------------------------------------
 
 // writeWorld builds a single-service world for write-path benchmarks,

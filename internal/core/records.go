@@ -155,65 +155,3 @@ func (m *memRecords) Status(serial uint64) (RecordStatus, error) {
 	}
 	return rec.status(), nil
 }
-
-// baselineRecords preserves the pre-capacity record layout — one
-// heap-allocated RecordStatus per record, no interning, unpacked flags —
-// behind the same RecordStore interface. The E16 capacity harness plugs
-// it in (Config.Records) to measure the compact layout against the state
-// of the world it replaced; it has no production use.
-type baselineRecords struct {
-	next   atomic.Uint64
-	shards [crShards]baselineShard
-}
-
-type baselineShard struct {
-	mu      sync.RWMutex
-	records map[uint64]*RecordStatus
-}
-
-// NewBaselineRecords constructs the pre-capacity record store. See
-// baselineRecords.
-func NewBaselineRecords() RecordStore {
-	m := &baselineRecords{}
-	for i := range m.shards {
-		m.shards[i].records = make(map[uint64]*RecordStatus)
-	}
-	return m
-}
-
-func (m *baselineRecords) shard(serial uint64) *baselineShard {
-	return &m.shards[serial%crShards]
-}
-
-func (m *baselineRecords) Issue(subject, holder string) (uint64, error) {
-	serial := m.next.Add(1)
-	sh := m.shard(serial)
-	sh.mu.Lock()
-	sh.records[serial] = &RecordStatus{Exists: true, Holder: holder, Subject: subject}
-	sh.mu.Unlock()
-	return serial, nil
-}
-
-func (m *baselineRecords) Revoke(serial uint64, reason string) (bool, error) {
-	sh := m.shard(serial)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	rec, ok := sh.records[serial]
-	if !ok || rec.Revoked {
-		return false, nil
-	}
-	rec.Revoked = true
-	rec.Reason = reason
-	return true, nil
-}
-
-func (m *baselineRecords) Status(serial uint64) (RecordStatus, error) {
-	sh := m.shard(serial)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rec, ok := sh.records[serial]
-	if !ok {
-		return RecordStatus{}, nil
-	}
-	return *rec, nil
-}

@@ -116,8 +116,8 @@ type Config struct {
 	// async core's per-shard mutation queue; see internal/seq and
 	// seqmut.go). 0 selects the default depth (256); negative disables
 	// the sequencer entirely, applying every mutation inline on the
-	// caller's goroutine — the pre-sequencer behaviour, kept for
-	// baseline comparison (E20) and for stores that need it. A full
+	// caller's goroutine — the pre-sequencer behaviour, kept for the
+	// equivalence tests and for stores that need it. A full
 	// mailbox blocks the submitting mutation, which is the end-to-end
 	// backpressure contract: a slow journal or broker pushes back on
 	// the RPC layer instead of growing an unbounded queue.

@@ -51,9 +51,11 @@ func TestAutoCompactBytesThreshold(t *testing.T) {
 	}
 	waitUntil(t, "byte-threshold auto compaction", func() bool { return snapCount(t, dir) > 0 })
 	waitUntil(t, "active generation to shrink below the threshold", func() bool { return l.JournalSize() < 1024 })
-	if got := reg.Counter("durable_autocompactions_total").Value(); got == 0 {
-		t.Error("durable_autocompactions_total = 0, want > 0")
-	}
+	// The counter moves only after Compact returns, which can trail the
+	// snapshot file appearing on disk.
+	waitUntil(t, "durable_autocompactions_total > 0", func() bool {
+		return reg.Counter("durable_autocompactions_total").Value() > 0
+	})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +95,9 @@ func TestAutoCompactGarbageThreshold(t *testing.T) {
 	apply(Record{Op: OpCRIssue, Service: "s", Serial: 4, Subject: "s.role", Holder: "h"})
 	apply(Record{Op: OpCRRevoke, Service: "s", Serial: 4, Reason: "churn"})
 	waitUntil(t, "garbage-threshold auto compaction", func() bool { return snapCount(t, dir) > 0 })
-	if got := reg.Counter("durable_autocompactions_total").Value(); got == 0 {
-		t.Error("durable_autocompactions_total = 0, want > 0")
-	}
+	waitUntil(t, "durable_autocompactions_total > 0", func() bool {
+		return reg.Counter("durable_autocompactions_total").Value() > 0
+	})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,12 @@ type World struct {
 	Bus    *rpc.Loopback
 	Clock  *clock.Simulated
 	// Obs and Trace, when set, are threaded into every service the world
-	// creates — the E13 overhead experiment runs the same workloads with
-	// and without them.
+	// creates — the observability-overhead benchmark runs the same
+	// workload with and without them.
 	Obs   *obs.Registry
 	Trace *obs.Tracer
 	// Journal, when set, is threaded into every service the world creates
-	// — the E14 durability experiment runs the same workloads with and
-	// without it.
+	// — the journaled write-path benchmark runs against a real durable log.
 	Journal core.Journal
 	// OnClose hooks run when the world closes (after the broker), letting
 	// experiments attach per-world resources like a journal directory.

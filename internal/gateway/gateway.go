@@ -278,8 +278,8 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, run func() int) 
 			defer func() { <-g.inflight; g.inflightG.Add(-1) }()
 		default:
 			// Shed, don't queue: under overload a bounded 503 rate keeps
-			// the admitted requests' latency flat (E17 measures this)
-			// where queueing would melt every caller's deadline.
+			// the admitted requests' latency flat where queueing would
+			// melt every caller's deadline (TestOverloadSheds503).
 			g.dropOverload.Inc()
 			w.Header().Set("Retry-After", "1")
 			return writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "gateway overloaded"})

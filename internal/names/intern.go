@@ -26,8 +26,7 @@ import (
 // never pins the multi-kilobyte wire frame its key arrived in.
 //
 // The table is append-only and sharded 64 ways; the read path is one
-// hash plus a shard RLock. Interning is on by default; the E16 capacity
-// harness switches it off to measure the pre-interning baseline.
+// hash plus a shard RLock.
 
 const internShards = 64
 
@@ -49,27 +48,11 @@ var (
 	internSeed  = maphash.MakeSeed()
 	internTable [internShards]internShard
 
-	// interningOn gates InternString. Default on; SetInterning(false) is
-	// for harnesses and tests measuring the uninterned baseline.
-	interningOn atomic.Bool
-
 	// internCount / internBytes track table size for the obs gauges and
 	// the capacity report.
 	internCount atomic.Int64
 	internBytes atomic.Int64
 )
-
-func init() { interningOn.Store(true) }
-
-// SetInterning switches term interning on or off globally. It exists for
-// the capacity harness (E16), which measures resident memory with and
-// without interning in the same process; production code never calls it.
-// Toggling is safe at any time — interning only affects which backing
-// array equal strings share, never their values.
-func SetInterning(on bool) { interningOn.Store(on) }
-
-// InterningEnabled reports whether InternString canonicalises.
-func InterningEnabled() bool { return interningOn.Load() }
 
 // InternStats reports the intern table's entry count and retained bytes
 // (string contents only, excluding map overhead).
@@ -81,7 +64,7 @@ func InternStats() (entries int64, bytes int64) {
 // sight. The canonical copy is cloned, so interning a substring of a
 // large decode buffer retains only the substring's bytes.
 func InternString(s string) string {
-	if s == "" || !interningOn.Load() {
+	if s == "" {
 		return s
 	}
 	sh := &internTable[maphash.String(internSeed, s)%internShards]

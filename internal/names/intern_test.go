@@ -38,18 +38,6 @@ func TestInternStringClonesSubstrings(t *testing.T) {
 	}
 }
 
-func TestSetInterningOff(t *testing.T) {
-	SetInterning(false)
-	defer SetInterning(true)
-	s := string([]byte("off_mode_probe"))
-	if got := InternString(s); data(got) != data(s) {
-		t.Fatalf("InternString canonicalised while disabled")
-	}
-	if InterningEnabled() {
-		t.Fatalf("InterningEnabled() = true after SetInterning(false)")
-	}
-}
-
 // randTerm builds a random term from a small vocabulary so collisions are
 // frequent (the interesting case for interning).
 func randTerm(rng *rand.Rand) Term {

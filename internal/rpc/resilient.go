@@ -288,8 +288,7 @@ func (r *ResilientCaller) BreakerState(service string) BreakerState {
 	return br.state
 }
 
-// Metrics returns a snapshot of the caller's counters (the E12 experiment
-// harness reads these).
+// Metrics returns a snapshot of the caller's counters.
 func (r *ResilientCaller) Metrics() ResilientMetrics {
 	return ResilientMetrics{
 		Calls:     r.calls.Load(),

@@ -1,4 +1,4 @@
-// Churn is the million-principal capacity harness (E16): where workload.Run
+// Churn is the large-population capacity harness: where workload.Run
 // checks the active-security invariants on a small richly-connected world,
 // Churn drives a large synthetic principal population through the
 // session-lifecycle storms a big deployment sees — login storms, role
@@ -56,18 +56,11 @@ type ChurnConfig struct {
 	// CacheMaxEntries bounds the consumer's ECR validation cache
 	// (core.Config.CacheMaxEntries; 0 = unbounded).
 	CacheMaxEntries int
-	// Baseline reconstructs the pre-capacity resident layout inside the
-	// same harness: the pointer-per-record store (core.NewBaselineRecords),
-	// term interning disabled, and an unbounded validation cache. The
-	// bytes-per-principal improvement in EXPERIMENTS.md E16 is compact
-	// (Baseline=false) measured against this.
-	Baseline bool
 }
 
 // ChurnResult reports what a capacity run measured.
 type ChurnResult struct {
 	Principals int
-	Baseline   bool
 
 	// Resident-state footprint after the login storm and activation
 	// burst settle (heap growth over the harness start, post-GC).
@@ -109,12 +102,6 @@ func Churn(cfg ChurnConfig) (ChurnResult, error) {
 	if cfg.Principals < 1 || cfg.Ops < 1 {
 		return ChurnResult{}, fmt.Errorf("churn: principals and ops must be positive")
 	}
-	if cfg.Baseline {
-		// The pre-capacity world never interned; restore the default for
-		// whoever runs next in this process.
-		names.SetInterning(false)
-		defer names.SetInterning(true)
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	broker := event.NewBroker()
@@ -122,18 +109,7 @@ func Churn(cfg ChurnConfig) (ChurnResult, error) {
 	bus := rpc.NewLoopback()
 	clk := clock.NewSimulated(time.Date(2001, 11, 12, 8, 0, 0, 0, time.UTC))
 
-	newRecords := func() core.RecordStore {
-		if cfg.Baseline {
-			return core.NewBaselineRecords()
-		}
-		return nil // service-local compact store
-	}
-	cacheMax := cfg.CacheMaxEntries
-	if cfg.Baseline {
-		cacheMax = 0 // the classic ECR never evicted
-	}
-
-	res := ChurnResult{Principals: cfg.Principals, Baseline: cfg.Baseline}
+	res := ChurnResult{Principals: cfg.Principals}
 
 	// Heap baseline before any service or principal state exists.
 	var ms runtime.MemStats
@@ -147,10 +123,9 @@ func Churn(cfg ChurnConfig) (ChurnResult, error) {
 login.user <- env ok.
 auth appoint_badge <- login.user.
 `),
-		Broker:  broker,
-		Caller:  bus,
-		Clock:   clk,
-		Records: newRecords(),
+		Broker: broker,
+		Caller: bus,
+		Clock:  clk,
 	})
 	if err != nil {
 		return ChurnResult{}, err
@@ -171,9 +146,8 @@ auth enter_badged <- appt login.badge.
 		Broker:           broker,
 		Caller:           bus,
 		Clock:            clk,
-		Records:          newRecords(),
 		CacheValidations: true,
-		CacheMaxEntries:  cacheMax,
+		CacheMaxEntries:  cfg.CacheMaxEntries,
 	})
 	if err != nil {
 		return ChurnResult{}, err
