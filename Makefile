@@ -12,9 +12,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: vet always; golangci-lint when installed (CI installs
-# it, local runs degrade gracefully).
+# Static analysis: gofmt and vet always; golangci-lint when installed
+# (CI installs it, local runs degrade gracefully).
 lint: vet
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	else \

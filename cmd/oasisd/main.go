@@ -113,17 +113,17 @@ func main() {
 		httpAddr  = flag.String("http-addr", "", "serve the HTTP/JSON edge gateway (POST /validate, /activate, /appoint, /revoke) on this address (empty = off)")
 		httpCache = flag.Bool("http-cache", false, "cache /validate verdicts in the embedded gateway, invalidated by this broker's revocation events (peer revocations invalidate only when bridged with -relay-peer)")
 		httpCMax  = flag.Int("http-cache-max", 65536, "bound the embedded gateway's verdict cache to this many entries (0 = unbounded)")
-		shutGr   = flag.Duration("shutdown-grace", defaultShutdownGrace, "force exit if shutdown has not drained within this long of the first signal")
-		stateDir = flag.String("state-dir", "", "journal issued credentials, appointments, facts and signing keys here; recovered on restart (empty = ephemeral)")
+		shutGr    = flag.Duration("shutdown-grace", defaultShutdownGrace, "force exit if shutdown has not drained within this long of the first signal")
+		stateDir  = flag.String("state-dir", "", "journal issued credentials, appointments, facts and signing keys here; recovered on restart (empty = ephemeral)")
 		follow    = flag.String("follow", "", "run as a read replica of the oasisd at this address: replicate its journal, serve validation locally, proxy writes (excludes -svc and -state-dir)")
 		replStale = flag.Duration("repl-stale", 10*time.Second, "with -follow: refuse validation reads once the leader has been silent this long (fail closed)")
 		replLease = flag.Duration("repl-lease", 3*time.Second, "with -state-dir: write-proxy lease TTL granted to followers")
-		ecrMax   = flag.Int("ecr-cache-max", 0, "bound each service's ECR validation cache to this many entries, evicting cold verdicts (0 = unbounded)")
-		acBytes  = flag.Int64("auto-compact-bytes", 0, "live-compact the journal when the active generation exceeds this many bytes (0 = compact only at shutdown)")
-		acGarb   = flag.Int("auto-compact-garbage", 0, "live-compact the journal after this many superseding records (revocations, retractions; 0 = off)")
-		svcs     multiFlag
-		peers    multiFlag
-		relayTo  multiFlag
+		ecrMax    = flag.Int("ecr-cache-max", 0, "bound each service's ECR validation cache to this many entries, evicting cold verdicts (0 = unbounded)")
+		acBytes   = flag.Int64("auto-compact-bytes", 0, "live-compact the journal when the active generation exceeds this many bytes (0 = compact only at shutdown)")
+		acGarb    = flag.Int("auto-compact-garbage", 0, "live-compact the journal after this many superseding records (revocations, retractions; 0 = off)")
+		svcs      multiFlag
+		peers     multiFlag
+		relayTo   multiFlag
 	)
 	flag.Var(&svcs, "svc", "service to host: name=policyfile (repeatable)")
 	flag.Var(&peers, "peer", "remote service address: name=host:port (repeatable)")

@@ -12,9 +12,7 @@
 package cert
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -281,43 +279,6 @@ func appendTerm(dst []byte, t names.Term) []byte {
 // fields of appointment certificates (and RMCs) are readable, although
 // protected from tampering and theft").
 func MarshalRMC(r RMC) ([]byte, error) { return json.Marshal(r) }
-
-// EncodeRMCGob encodes an RMC in the compact binary form used by
-// gob-framed transports.
-func EncodeRMCGob(r RMC) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("gob encode rmc: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeRMCGob decodes the gob form.
-func DecodeRMCGob(b []byte) (RMC, error) {
-	var r RMC
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return RMC{}, fmt.Errorf("gob decode rmc: %w", err)
-	}
-	return r, nil
-}
-
-// EncodeAppointmentGob encodes an appointment certificate in binary form.
-func EncodeAppointmentGob(a AppointmentCertificate) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(a); err != nil {
-		return nil, fmt.Errorf("gob encode appointment: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeAppointmentGob decodes the gob form.
-func DecodeAppointmentGob(b []byte) (AppointmentCertificate, error) {
-	var a AppointmentCertificate
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&a); err != nil {
-		return AppointmentCertificate{}, fmt.Errorf("gob decode appointment: %w", err)
-	}
-	return a, nil
-}
 
 // UnmarshalRMC decodes an RMC from the wire.
 func UnmarshalRMC(b []byte) (RMC, error) {

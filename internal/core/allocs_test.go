@@ -1,0 +1,58 @@
+//go:build !race
+
+package core
+
+import "testing"
+
+// Allocation budgets for the callback-validation hot path. A change that
+// adds an allocation per validation fails here, in plain `go test`, not
+// only in a full benchmark run. The race detector instruments
+// allocations, so these run only in non-race builds.
+
+// validateRMCHandlerAllocs is the validate_rmc handler's budget: binary
+// request decode, local credential-record lookup, signature check and
+// binary verdict encode for one locally issued RMC.
+const validateRMCHandlerAllocs = 7
+
+// batcherSingleAllocs is batcher.do's budget for a lone validation that
+// departs as one single call (the transport stubbed out).
+const batcherSingleAllocs = 6
+
+func TestValidateRMCHandlerAllocBudget(t *testing.T) {
+	w := newWorld(t)
+	login := w.service("login", `login.user <- env ok.`)
+	alwaysTrue(login, "ok")
+	sess := w.session()
+	rmc, err := login.Activate(sess.PrincipalID(), role("login", "user"), Presented{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := login.Handler()
+	body := rmcItem(rmc, sess.PrincipalID()).encodeBinary()
+	allocs := testing.AllocsPerRun(200, func() {
+		out, err := h("validate_rmc", body)
+		if err != nil || len(out) == 0 {
+			t.Fatalf("validate_rmc = (%x, %v)", out, err)
+		}
+	})
+	t.Logf("validate_rmc handler: %.0f allocs/op", allocs)
+	if allocs > validateRMCHandlerAllocs {
+		t.Errorf("validate_rmc handler allocates %.0f/op, budget %d", allocs, validateRMCHandlerAllocs)
+	}
+}
+
+func TestBatcherSingleCallAllocBudget(t *testing.T) {
+	valid := encodeValidateRespBinary(validateResponse{Valid: true})
+	stub := callerFunc(func(_, _ string, _ []byte) ([]byte, error) { return valid, nil })
+	b := newCallerBatcher(stub, 0)
+	it := rmcItem(sampleWireRMC(), "alice")
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := b.do("login", it); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("batcher.do single call: %.0f allocs/op", allocs)
+	if allocs > batcherSingleAllocs {
+		t.Errorf("batcher.do single call allocates %.0f/op, budget %d", allocs, batcherSingleAllocs)
+	}
+}

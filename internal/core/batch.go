@@ -2,10 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,12 +74,6 @@ const regatherDeadline = time.Millisecond
 // back to the depart-immediately path hotFactor windows after the storm
 // ends.
 //
-// Mixed-version interop is handled per issuer with sticky downgrade
-// flags: an issuer that rejects validate_batch (unknown method) is
-// marked noBatch and coalesced items fall back to per-item calls; an
-// issuer that cannot decode binary bodies is marked noBinary and calls
-// fall back to the JSON forms. Both fallbacks preserve the per-item
-// error classification (authoritative ErrRevoked vs unavailable).
 // The batcher is deliberately independent of *Service: it needs only a
 // transport and somewhere to count, so the HTTP edge gateway reuses the
 // exact same coalescer (via RemoteValidator) for out-of-process clients.
@@ -110,8 +101,6 @@ type issuerQueue struct {
 	timerSet    bool
 	regathering bool      // a re-gather waiter is watching the queue
 	hotUntil    time.Time // queue is mid fan-in storm until this instant
-	noBatch     bool      // issuer rejected validate_batch; use per-item calls
-	noBinary    bool      // issuer rejected binary bodies; use JSON forms
 
 	// grow wakes the re-gather waiter: every arrival appended while
 	// regathering pokes it (capacity 1, coalescing), so the waiter
@@ -227,7 +216,7 @@ func (b *batcher) do(issuer string, it validateItem) error {
 	if b.disabled || (!q.hot() && q.inflight < maxConcurrentFlights) {
 		q.inflight++
 		q.mu.Unlock()
-		err := b.single(issuer, q, it)
+		err := b.single(issuer, it)
 		b.flightDone(issuer, q)
 		return err
 	}
@@ -303,7 +292,7 @@ func (b *batcher) flightDone(issuer string, q *issuerQueue) {
 		return
 	}
 	go func() {
-		b.dispatch(issuer, q, batch)
+		b.dispatch(issuer, batch)
 		putBatchSlice(batch)
 		b.flightDone(issuer, q)
 	}()
@@ -369,39 +358,20 @@ func (b *batcher) flushPending(issuer string, q *issuerQueue) {
 	if batch == nil {
 		return
 	}
-	b.dispatch(issuer, q, batch)
+	b.dispatch(issuer, batch)
 	putBatchSlice(batch)
 	b.flightDone(issuer, q)
 }
 
-// dispatch sends one gathered batch and delivers each item's verdict.
-func (b *batcher) dispatch(issuer string, q *issuerQueue, batch []*batchCall) {
+// dispatch sends one gathered batch and delivers each item's verdict: a
+// batch of one goes out as a single call, anything larger as one
+// validate_batch.
+func (b *batcher) dispatch(issuer string, batch []*batchCall) {
 	b.batchSize.Observe(int64(len(batch)))
-	q.mu.Lock()
-	noBatch := q.noBatch || len(batch) == 1
-	q.mu.Unlock()
-	if !noBatch {
-		if done := b.tryBatch(issuer, q, batch); done {
-			return
-		}
-		// validate_batch unsupported there: fall through per item.
+	if len(batch) == 1 {
+		batch[0].done <- b.single(issuer, batch[0].item)
+		return
 	}
-	var wg sync.WaitGroup
-	for _, c := range batch {
-		wg.Add(1)
-		go func(c *batchCall) {
-			defer wg.Done()
-			c.done <- b.single(issuer, q, c.item)
-		}(c)
-	}
-	wg.Wait()
-}
-
-// tryBatch attempts one validate_batch call for the whole batch. It
-// reports false (without delivering) only when the issuer does not
-// support the method, in which case the caller falls back per item; any
-// other outcome is delivered to every item.
-func (b *batcher) tryBatch(issuer string, q *issuerQueue, batch []*batchCall) bool {
 	body := getBatchBody()
 	if body == nil {
 		body = make([]byte, 0, 16+192*len(batch)) // ~wire size of a typical item, with slack
@@ -412,21 +382,15 @@ func (b *batcher) tryBatch(issuer string, q *issuerQueue, batch []*batchCall) bo
 		body = appendBatchItem(body, &c.item)
 	}
 	b.batchesSent.Add(1)
+	b.callbackValidations.Add(uint64(len(batch)))
 	out, err := b.caller.Call(issuer, "validate_batch", body)
 	// Call is synchronous and the transport copies the body into its own
 	// frame before sending (retries happen inside Call), so the buffer is
 	// dead here and can be recycled for the next herd.
 	putBatchBody(body)
-	if err != nil && isUnknownMethodError(err) {
-		q.mu.Lock()
-		q.noBatch = true
-		q.mu.Unlock()
-		return false // fallback singles do the per-item accounting
-	}
-	b.callbackValidations.Add(uint64(len(batch)))
 	if err != nil {
 		deliverAll(batch, fmt.Errorf("callback to %s: %w", issuer, err))
-		return true
+		return
 	}
 	pr, _ := batchRespsPool.Get().([]validateResponse)
 	resps, derr := decodeValidateBatchRespInto(pr, out)
@@ -435,7 +399,7 @@ func (b *batcher) tryBatch(issuer string, q *issuerQueue, batch []*batchCall) bo
 			derr = fmt.Errorf("%w: %d verdicts for %d items", errWireBin, len(resps), len(batch))
 		}
 		deliverAll(batch, fmt.Errorf("decode validation response: %w", derr))
-		return true
+		return
 	}
 	b.batchedValidations.Add(uint64(len(batch)))
 	for i, c := range batch {
@@ -443,60 +407,20 @@ func (b *batcher) tryBatch(issuer string, q *issuerQueue, batch []*batchCall) bo
 	}
 	clear(resps)
 	batchRespsPool.Put(resps[:0]) //nolint:staticcheck // slice reuse, header copy is fine
-	return true
 }
 
-// single performs one per-item callback call, preferring the binary body
-// and downgrading stickily to JSON for issuers that cannot decode it.
-func (b *batcher) single(issuer string, q *issuerQueue, it validateItem) error {
-	q.mu.Lock()
-	useBinary := !q.noBinary
-	q.mu.Unlock()
-
-	body := it.encodeBinary()
-	if !useBinary {
-		var err error
-		if body, err = it.encodeJSON(); err != nil {
-			return fmt.Errorf("encode validation request: %w", err)
-		}
-	}
+// single performs one per-item callback call.
+func (b *batcher) single(issuer string, it validateItem) error {
 	b.callbackValidations.Add(1)
-	out, err := b.caller.Call(issuer, it.method(), body)
-	if err != nil && useBinary && isDecodeRemoteError(err) {
-		// An old issuer ran the handler but could not parse the binary
-		// body. Downgrade this issuer to JSON and retry once (validation
-		// is idempotent).
-		q.mu.Lock()
-		q.noBinary = true
-		q.mu.Unlock()
-		jsonBody, jerr := it.encodeJSON()
-		if jerr != nil {
-			return fmt.Errorf("encode validation request: %w", jerr)
-		}
-		b.callbackValidations.Add(1)
-		out, err = b.caller.Call(issuer, it.method(), jsonBody)
-	}
+	out, err := b.caller.Call(issuer, it.method(), it.encodeBinary())
 	if err != nil {
 		return fmt.Errorf("callback to %s: %w", issuer, err)
 	}
-	resp, err := decodeAnyValidateResp(out)
+	resp, err := decodeValidateRespBinary(out)
 	if err != nil {
 		return fmt.Errorf("decode validation response: %w", err)
 	}
 	return verdictErr(resp)
-}
-
-// decodeAnyValidateResp sniffs the response encoding: new issuers answer
-// binary requests with the tagged binary verdict, old ones with JSON.
-func decodeAnyValidateResp(out []byte) (validateResponse, error) {
-	if isBinaryBody(out) {
-		return decodeValidateRespBinary(out)
-	}
-	var resp validateResponse
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return validateResponse{}, err
-	}
-	return resp, nil
 }
 
 // verdictErr converts an issuer verdict into the validation result,
@@ -512,20 +436,4 @@ func deliverAll(batch []*batchCall, err error) {
 	for _, c := range batch {
 		c.done <- err
 	}
-}
-
-// isUnknownMethodError matches the remote "unknown method" rejection an
-// old issuer gives validate_batch. RemoteError proves the handler ran,
-// so the downgrade is based on an authoritative answer, never a
-// transport failure.
-func isUnknownMethodError(err error) bool {
-	var re *rpc.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "unknown method")
-}
-
-// isDecodeRemoteError matches the remote decode failure an old issuer
-// gives a binary request body.
-func isDecodeRemoteError(err error) bool {
-	var re *rpc.RemoteError
-	return errors.As(err, &re) && strings.HasPrefix(re.Msg, "decode:")
 }

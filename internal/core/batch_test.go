@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -86,7 +85,7 @@ func TestBatchLoneCallDepartsImmediately(t *testing.T) {
 	spy := callerFunc(func(service, method string, body []byte) ([]byte, error) {
 		mu.Lock()
 		methods = append(methods, method)
-		binaries = append(binaries, isBinaryBody(body))
+		binaries = append(binaries, len(body) > 0 && body[0] == tagValidateRMCReq)
 		mu.Unlock()
 		return w.bus.Call(service, method, body)
 	})
@@ -121,117 +120,6 @@ func TestBatchLoneCallDepartsImmediately(t *testing.T) {
 	}
 	if !binaries[0] {
 		t.Error("lone call did not use the binary wire body")
-	}
-}
-
-// legacyHandler simulates a pre-upgrade issuer: validate_batch is an
-// unknown method and binary request bodies fail to decode; JSON bodies
-// are delegated to the real handler.
-func legacyHandler(h func(string, []byte) ([]byte, error)) func(string, []byte) ([]byte, error) {
-	return func(method string, body []byte) ([]byte, error) {
-		switch method {
-		case "validate_batch":
-			return nil, fmt.Errorf("unknown method %q", method)
-		case "validate_rmc", "validate_appt":
-			if isBinaryBody(body) {
-				return nil, fmt.Errorf("decode: invalid character %q looking for beginning of value", body[0])
-			}
-		}
-		return h(method, body)
-	}
-}
-
-// TestBatchFallsBackToJSONForLegacyIssuer: an issuer that cannot decode
-// binary bodies triggers one JSON retry and a sticky per-issuer
-// downgrade; validation still succeeds both times.
-func TestBatchFallsBackToJSONForLegacyIssuer(t *testing.T) {
-	w := newWorld(t)
-	login := w.service("login", `login.user <- env ok.`)
-	alwaysTrue(login, "ok")
-	w.bus.Register("login", legacyHandler(login.Handler()))
-	guard := w.service("guard", `auth enter <- login.user.`)
-
-	sess := w.session()
-	rmc, err := login.Activate(sess.PrincipalID(), role("login", "user"), Presented{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.AddRMC(rmc)
-	creds := sess.Credentials()
-
-	// First use: binary attempt is refused ("decode:"), JSON retry lands.
-	if _, err := guard.Invoke(sess.PrincipalID(), "enter", nil, creds); err != nil {
-		t.Fatalf("invoke against legacy issuer: %v", err)
-	}
-	if got := guard.Stats().CallbackValidations; got != 2 {
-		t.Errorf("CallbackValidations = %d, want 2 (binary attempt + JSON retry)", got)
-	}
-	// Second use: the downgrade is sticky — straight to JSON, one call.
-	if _, err := guard.Invoke(sess.PrincipalID(), "enter", nil, creds); err != nil {
-		t.Fatalf("second invoke: %v", err)
-	}
-	if got := guard.Stats().CallbackValidations; got != 3 {
-		t.Errorf("CallbackValidations = %d, want 3 (sticky JSON downgrade)", got)
-	}
-}
-
-// TestBatchFallsBackPerItemForLegacyIssuer: a coalesced batch sent to an
-// issuer without validate_batch falls back to per-item calls; every
-// validation still succeeds and the noBatch downgrade sticks.
-func TestBatchFallsBackPerItemForLegacyIssuer(t *testing.T) {
-	w := newWorld(t)
-	login := w.service("login", `login.user <- env ok.`)
-	alwaysTrue(login, "ok")
-	slow := w.slowValidateCaller(250 * time.Millisecond)
-	legacy := legacyHandler(login.Handler())
-	w.bus.Register("login", legacy)
-	guard := w.service("guard", `auth enter <- login.user.`,
-		withCaller(slow), withBatchWindow(time.Second))
-
-	sess := w.session()
-	rmc, err := login.Activate(sess.PrincipalID(), role("login", "user"), Presented{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.AddRMC(rmc)
-	creds := sess.Credentials()
-
-	var wg sync.WaitGroup
-	invoke := func() {
-		defer wg.Done()
-		if _, err := guard.Invoke(sess.PrincipalID(), "enter", nil, creds); err != nil {
-			t.Errorf("invoke: %v", err)
-		}
-	}
-	wg.Add(1)
-	go invoke()
-	time.Sleep(50 * time.Millisecond)
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go invoke()
-	}
-	wg.Wait()
-
-	st := guard.Stats()
-	if st.BatchesSent != 1 {
-		t.Errorf("BatchesSent = %d, want 1 (the rejected attempt)", st.BatchesSent)
-	}
-	if st.BatchedValidations != 0 {
-		t.Errorf("BatchedValidations = %d, want 0 (batch was rejected)", st.BatchedValidations)
-	}
-
-	// The noBatch downgrade is sticky: a second fan-in round coalesces
-	// again but sends no further validate_batch attempts.
-	wg.Add(1)
-	go invoke()
-	time.Sleep(50 * time.Millisecond)
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go invoke()
-	}
-	wg.Wait()
-	if st := guard.Stats(); st.BatchesSent != 1 {
-		t.Errorf("BatchesSent = %d after second round, want still 1", st.BatchesSent)
 	}
 }
 

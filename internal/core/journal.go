@@ -4,28 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/cert"
+	"repro/internal/durable"
 	"repro/internal/names"
 	"repro/internal/sign"
 )
 
-// Journal receives the engine's durable-state mutation hooks. A service
-// configured with a Journal reports every credential-record issue and
-// revocation and every appointment issue and revocation, so a journal
-// implementation (internal/durable) can replay them after a crash.
-// Implementations decide the durability class per hook: the contract here
-// is only ordering — each hook is called after the in-memory mutation has
-// been applied, and revocation/issue hooks for long-lived credentials
-// should not return before the record is durable.
+// Journal receives the engine's durable-state mutations — every
+// credential-record and appointment issue and revocation and every key
+// install — so a journal implementation (internal/durable) can replay
+// them after a crash. A service hands over each mutation batch as one
+// contiguous record group, after the in-memory mutation has been applied
+// and before its events are published, in publish order. When wait is
+// true (see mustWait) the call must not return before the whole group is
+// durable. internal/durable.Log implements it.
 type Journal interface {
-	// CRIssued reports a freshly issued credential record.
-	CRIssued(service string, serial uint64, subject, holder string)
-	// CRRevoked reports a credential-record revocation. Called only for
-	// the winning revocation (revoke-once semantics upstream).
-	CRRevoked(service string, serial uint64, reason string)
-	// ApptIssued reports an issued appointment certificate, in full.
-	ApptIssued(service string, a cert.AppointmentCertificate)
-	// ApptRevoked reports an appointment revocation.
-	ApptRevoked(service string, serial uint64, reason string)
+	AppendGroup(recs []durable.Record, wait bool) error
 }
 
 // RecordRestorer is the optional RecordStore extension used during crash

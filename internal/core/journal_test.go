@@ -1,25 +1,59 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
-	"repro/internal/cert"
+	"repro/internal/durable"
 )
 
-// captureJournal records the revocation hooks a service fires.
+// captureJournal records every record a service journals, with the
+// durability wait of the group it arrived in.
 type captureJournal struct {
-	issued  []uint64
-	revoked []uint64
+	mu   sync.Mutex
+	recs []journaled
 }
 
-func (c *captureJournal) CRIssued(service string, serial uint64, subject, holder string) {
-	c.issued = append(c.issued, serial)
+type journaled struct {
+	op     durable.Op
+	serial uint64
+	wait   bool
 }
-func (c *captureJournal) CRRevoked(service string, serial uint64, reason string) {
-	c.revoked = append(c.revoked, serial)
+
+func (c *captureJournal) AppendGroup(recs []durable.Record, wait bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range recs {
+		c.recs = append(c.recs, journaled{op: r.Op, serial: r.Serial, wait: wait})
+	}
+	return nil
 }
-func (c *captureJournal) ApptIssued(service string, a cert.AppointmentCertificate) {}
-func (c *captureJournal) ApptRevoked(service string, serial uint64, reason string) {}
+
+// serials lists the serials journaled under op, in journal order.
+func (c *captureJournal) serials(op durable.Op) []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []uint64
+	for _, r := range c.recs {
+		if r.op == op {
+			out = append(out, r.serial)
+		}
+	}
+	return out
+}
+
+// waitOf reports the durability wait the record (op, serial) was
+// journaled with; ok is false when it was never journaled.
+func (c *captureJournal) waitOf(op durable.Op, serial uint64) (wait, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range c.recs {
+		if r.op == op && r.serial == serial {
+			return r.wait, true
+		}
+	}
+	return false, false
+}
 
 // A journal-restored credential record has no session state (crs entry),
 // but logout must still be able to revoke it — otherwise a pre-crash
@@ -46,8 +80,8 @@ func TestEndSessionRevokesRestoredRecords(t *testing.T) {
 	if valid, exists := svc.CRStatus(7); valid || !exists {
 		t.Fatalf("after logout, record 7: valid=%v exists=%v, want revoked", valid, exists)
 	}
-	if len(j.revoked) != 1 || j.revoked[0] != 7 {
-		t.Fatalf("journal saw revocations %v, want [7]", j.revoked)
+	if got := j.serials(durable.OpCRRevoke); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("journal saw revocations %v, want [7]", got)
 	}
 
 	// Idempotent: the drained index must not resurrect the serials.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 
@@ -40,17 +39,12 @@ func TestReadOnlyHandlerRefusesWrites(t *testing.T) {
 	h := svc.Handler()
 
 	// Validation still serves.
-	body, err := json.Marshal(validateRMCRequest{RMC: rmc, Principal: sess.PrincipalID()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := h("validate_rmc", body)
+	out, err := h("validate_rmc", rmcItem(rmc, sess.PrincipalID()).encodeBinary())
 	if err != nil {
 		t.Fatalf("validate_rmc: %v", err)
 	}
-	var resp validateResponse
-	if err := json.Unmarshal(out, &resp); err != nil || !resp.Valid {
-		t.Fatalf("validate_rmc verdict = %s err=%v, want valid", out, err)
+	if resp, err := decodeValidateRespBinary(out); err != nil || !resp.Valid {
+		t.Fatalf("validate_rmc verdict = %+v err=%v, want valid", resp, err)
 	}
 
 	// Every wire mutation is refused.

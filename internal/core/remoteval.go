@@ -14,9 +14,9 @@ import (
 // front ends that have no local Service — the HTTP edge gateway above
 // all. Concurrent validations destined for the same issuer ride one
 // validate_batch flight exactly as a service's own callback validations
-// do (same in-flight gating, hot-queue re-gather, sticky JSON and
-// per-item downgrades for old issuers), so an edge tier fanning in
-// thousands of HTTP checks costs the issuer ~one wire call per herd.
+// do (same in-flight gating and hot-queue re-gather), so an edge tier
+// fanning in thousands of HTTP checks costs the issuer ~one wire call per
+// herd.
 //
 // A RemoteValidator answers authoritatively from the issuer every time;
 // it deliberately has no verdict cache of its own. Caching at the edge

@@ -7,7 +7,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/event"
 	"repro/internal/obs"
-	"repro/internal/sign"
 )
 
 // This file is the mutation spine of the unified async core: every
@@ -80,26 +79,19 @@ func newMutOp(kind mutKind) *mutOp {
 // apply loop owns exactly one serialShard/recordShard pair.
 func seqShardOf(serial uint64) int { return int(serial % crShards) }
 
-// GroupJournal is the journal extension the sequencer prefers: a whole
-// shard batch lands as one contiguous multi-record frame group, with a
-// single durability wait when the batch carries any record that must
-// not be lost (revocations, appointment issues, key installs).
-// internal/durable implements it; a plain Journal still works — the
-// batch falls back to the per-record hooks, in the same order.
-type GroupJournal interface {
-	Journal
-	AppendGroup(recs []durable.Record, wait bool) error
-}
+// mustWait reports whether op's journal record must be durable before
+// its event publishes: a revocation (once it fans out, remote caches drop
+// the credential, and a crash must not resurrect it), an appointment
+// issue (the certificate outlives sessions, so the issuer must remember
+// it before the holder does) and a key install. A lost credential-record
+// issue fails closed — the certificate is denied after a crash — so
+// issues are fire-and-forget.
+func mustWait(op *mutOp) bool { return op.kind != mutCRIssue }
 
-// KeyJournal receives signing-key installs (see Service.InstallKeys).
-type KeyJournal interface {
-	KeysInstalled(service string, retain int, secrets []sign.Secret) error
-}
-
-// runMut pushes op through the sequencer and waits for completion. When
-// the sequencer is disabled (ReadOnly, negative SeqMailbox) or already
-// closed, the op applies inline on the caller's goroutine through the
-// exact same state/journal/publish steps, one op at a time.
+// runMut pushes op through the sequencer and waits for completion. A
+// ReadOnly service has no sequencer, and a closed one refuses Submit; the
+// op then applies inline on the caller's goroutine through the same
+// state, journal and publish steps, one op at a time.
 func (s *Service) runMut(op *mutOp) {
 	if s.seq != nil {
 		if err := s.seq.Submit(seqShardOf(op.shardSerial()), op); err == nil {
@@ -110,7 +102,11 @@ func (s *Service) runMut(op *mutOp) {
 		// late deactivations still land.
 	}
 	s.applyMutState(op, nil)
-	s.journalMutLegacy(op)
+	if op.hasRec {
+		if err := s.journal.AppendGroup([]durable.Record{op.rec}, mustWait(op)); err != nil {
+			op.err = err
+		}
+	}
 	if op.hasEv && !op.replicated {
 		s.broker.Publish(op.ev) //nolint:errcheck // fire-and-forget fan-out
 	}
@@ -151,34 +147,22 @@ func (s *Service) applySeqBatch(shard int, ops []*mutOp) {
 	}
 	sc.crMuts = crb[:0]
 
-	// Phase 2: journal, one contiguous group. wait mirrors the
-	// per-record durability classes: a batch carrying any revocation,
-	// appointment issue or key install must be durable before its
-	// events publish; a pure-issue batch is fire-and-forget (the
-	// failure direction of a lost issue is fail-closed denial).
+	// Phase 2: journal, one contiguous group, durable before publish when
+	// any of its records must be.
 	recs := sc.recs[:0]
 	wait := false
 	for _, op := range ops {
-		if !op.hasRec {
-			continue
-		}
-		recs = append(recs, op.rec)
-		if op.kind != mutCRIssue {
-			wait = true
+		if op.hasRec {
+			recs = append(recs, op.rec)
+			wait = wait || mustWait(op)
 		}
 	}
 	if len(recs) > 0 {
-		if gj, ok := s.journal.(GroupJournal); ok {
-			if err := gj.AppendGroup(recs, wait); err != nil {
-				for _, op := range ops {
-					if op.hasRec {
-						op.err = err
-					}
-				}
-			}
-		} else {
+		if err := s.journal.AppendGroup(recs, wait); err != nil {
 			for _, op := range ops {
-				s.journalMutLegacy(op)
+				if op.hasRec {
+					op.err = err
+				}
 			}
 		}
 	}
@@ -212,7 +196,7 @@ type seqShardScratch struct {
 
 // applyMutState applies op's state mutation and computes its outputs
 // (journal record, event). It is THE apply function: the live path runs
-// it inside the sequencer, the fallback path runs it inline, and the
+// it inside the sequencer, the inline path runs it directly, and the
 // replication follower runs it via ApplyReplicated — identical
 // semantics everywhere by construction.
 //
@@ -279,9 +263,6 @@ func (s *Service) applyMutState(op *mutOp, crb []crMut) []crMut {
 		s.stats.revocations.Add(1)
 		s.buildRevokeEvent(op)
 		if s.journal != nil && !op.replicated {
-			// Durable before published: once the revocation fans out,
-			// remote caches drop the credential, and a crash must not
-			// resurrect it.
 			op.rec = durable.Record{Op: durable.OpCRRevoke, Service: s.name, Serial: op.serial, Reason: op.reason}
 			op.hasRec = true
 		}
@@ -318,7 +299,6 @@ func (s *Service) applyMutState(op *mutOp, crb []crMut) []crMut {
 		}
 		op.hasEv = true
 		if s.journal != nil && !op.replicated {
-			// Durable before published, as with CR revocations.
 			op.rec = durable.Record{Op: durable.OpApptRevoke, Service: s.name, Serial: op.serial, Reason: op.reason}
 			op.hasRec = true
 		}
@@ -377,34 +357,6 @@ func (s *Service) retireCR(cr *CredRecord, serial uint64) {
 	s.envIndexRemove(deps, serial)
 	for _, sub := range subs {
 		sub.Cancel()
-	}
-}
-
-// journalMutLegacy journals one op through the per-record Journal
-// hooks — the fallback when no sequencer batch formed or the journal
-// lacks AppendGroup. The hooks' own durability classes apply (issues
-// async, revocations and appointment issues waited).
-func (s *Service) journalMutLegacy(op *mutOp) {
-	if s.journal == nil || !op.hasRec || op.replicated {
-		return
-	}
-	switch op.kind {
-	case mutCRIssue:
-		s.journal.CRIssued(s.name, op.serial, op.subject, op.holder)
-	case mutCRRevoke:
-		s.journal.CRRevoked(s.name, op.serial, op.reason)
-	case mutApptIssue:
-		s.journal.ApptIssued(s.name, op.appt)
-	case mutApptRevoke:
-		s.journal.ApptRevoked(s.name, op.serial, op.reason)
-	case mutKeys:
-		if gj, ok := s.journal.(GroupJournal); ok {
-			op.err = gj.AppendGroup([]durable.Record{op.rec}, true)
-		} else if kj, ok := s.journal.(KeyJournal); ok {
-			op.err = kj.KeysInstalled(s.name, op.rec.Retain, op.rec.Secrets)
-		} else {
-			op.err = fmt.Errorf("service %s: journal %T cannot record key installs", s.name, s.journal)
-		}
 	}
 }
 

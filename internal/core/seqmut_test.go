@@ -4,44 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/durable"
 )
-
-// TestSeqDisabledMatchesDefault runs the same mixed issue/revoke workload
-// through the sequencer path (default config) and the direct inline path
-// (SeqMailbox < 0) and checks that the observable service state agrees:
-// same stats, same CR status transitions, same legacy journal hooks.
-func TestSeqDisabledMatchesDefault(t *testing.T) {
-	run := func(mailbox int) (Stats, []uint64) {
-		w := newWorld(t)
-		j := &captureJournal{}
-		svc := w.service("login", `login.user <- env ok.`, func(c *Config) {
-			c.SeqMailbox = mailbox
-			c.Journal = j
-		})
-		alwaysTrue(svc, "ok")
-		for i := 0; i < 40; i++ {
-			rmc, err := svc.Activate(fmt.Sprintf("p%d", i), role("login", "user"), Presented{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i%2 == 0 {
-				if !svc.Revoke(rmc.Ref.Serial, "logout") {
-					t.Fatalf("deactivate %d failed", rmc.Ref.Serial)
-				}
-			}
-		}
-		return svc.Stats(), j.revoked
-	}
-
-	seqStats, seqRevoked := run(0)
-	dirStats, dirRevoked := run(-1)
-	if seqStats.Activations != dirStats.Activations || seqStats.Revocations != dirStats.Revocations {
-		t.Errorf("stats diverge: seq=%+v direct=%+v", seqStats, dirStats)
-	}
-	if len(seqRevoked) != len(dirRevoked) {
-		t.Errorf("journal hooks diverge: seq=%v direct=%v", seqRevoked, dirRevoked)
-	}
-}
 
 // TestSeqConcurrentChurn hammers one service with parallel activate/
 // deactivate pairs through the sequencer and checks nothing is lost:
@@ -88,11 +53,14 @@ func TestSeqConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestSeqSubmitAfterClose checks the inline fallback: once Close has shut
-// the sequencer, further mutations still apply directly rather than erroring.
+// TestSeqSubmitAfterClose checks the inline path: once Close has shut the
+// sequencer, further mutations still apply directly rather than erroring,
+// and each still reaches the journal with its durability class — a
+// revocation waited on, an issue fire-and-forget.
 func TestSeqSubmitAfterClose(t *testing.T) {
 	w := newWorld(t)
-	svc := w.service("login", `login.user <- env ok.`)
+	j := &captureJournal{}
+	svc := w.service("login", `login.user <- env ok.`, func(c *Config) { c.Journal = j })
 	alwaysTrue(svc, "ok")
 	rmc, err := svc.Activate("p", role("login", "user"), Presented{})
 	if err != nil {
@@ -104,5 +72,15 @@ func TestSeqSubmitAfterClose(t *testing.T) {
 	}
 	if valid, exists := svc.CRStatus(rmc.Ref.Serial); valid || !exists {
 		t.Fatalf("status = (%v,%v)", valid, exists)
+	}
+	if wait, ok := j.waitOf(durable.OpCRRevoke, rmc.Ref.Serial); !ok || !wait {
+		t.Fatalf("inline revoke journaled = %v, wait = %v; want journaled with wait", ok, wait)
+	}
+	late, err := svc.Activate("q", role("login", "user"), Presented{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wait, ok := j.waitOf(durable.OpCRIssue, late.Ref.Serial); !ok || wait {
+		t.Fatalf("inline issue journaled = %v, wait = %v; want journaled without wait", ok, wait)
 	}
 }

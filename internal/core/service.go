@@ -112,16 +112,6 @@ type Config struct {
 	// restored from the journal, so certificates issued before a crash
 	// still verify. Nil generates a fresh ring.
 	KeyRing *sign.KeyRing
-	// SeqMailbox bounds each sequencer shard's mailbox (the unified
-	// async core's per-shard mutation queue; see internal/seq and
-	// seqmut.go). 0 selects the default depth (256); negative disables
-	// the sequencer entirely, applying every mutation inline on the
-	// caller's goroutine — the pre-sequencer behaviour, kept for the
-	// equivalence tests and for stores that need it. A full
-	// mailbox blocks the submitting mutation, which is the end-to-end
-	// backpressure contract: a slow journal or broker pushes back on
-	// the RPC layer instead of growing an unbounded queue.
-	SeqMailbox int
 	// ReadOnly makes the wire handler refuse the mutating methods
 	// (activate, invoke, appoint, revoke, end_session) with ErrReadOnly.
 	// A follower replica (internal/replica) serves validation locally
@@ -383,13 +373,15 @@ func NewService(cfg Config) (*Service, error) {
 	s.observers.Store([]InvokeObserver{})
 	s.obsm = newServiceObs(s, cfg.Name, cfg.Obs, cfg.Trace)
 	s.batch = newBatcher(s, cfg.BatchWindow)
-	// The mutation sequencer. ReadOnly replicas never mutate through
-	// the public API (the replication applier calls ApplyReplicated
-	// directly, already serialised by the stream), so they skip it.
-	if !cfg.ReadOnly && cfg.SeqMailbox >= 0 {
+	// The mutation sequencer (seqmut.go), at the default mailbox depth:
+	// a full mailbox blocks the submitting mutation, so a slow journal or
+	// broker pushes back on the RPC layer instead of growing a queue.
+	// ReadOnly replicas never mutate through the public API (the
+	// replication applier calls ApplyReplicated directly, already
+	// serialised by the stream), so they skip it.
+	if !cfg.ReadOnly {
 		s.seq = seq.New(seq.Config[*mutOp]{
 			Shards: crShards,
-			Depth:  cfg.SeqMailbox,
 			Apply:  s.applySeqBatch,
 			Name:   cfg.Name,
 			Obs:    cfg.Obs,

@@ -539,20 +539,11 @@ func (s *Service) Close() {
 	}
 }
 
-// Wire messages for callback validation and remote operation.
-
-type validateRMCRequest struct {
-	RMC       cert.RMC `json:"rmc"`
-	Principal string   `json:"principal"`
-}
-
-type validateApptRequest struct {
-	Appointment cert.AppointmentCertificate `json:"appointment"`
-}
-
+// validateResponse is one issuer verdict on a callback validation (wire
+// form in wirebin.go).
 type validateResponse struct {
-	Valid  bool   `json:"valid"`
-	Reason string `json:"reason,omitempty"`
+	Valid  bool
+	Reason string
 }
 
 // validateItemVerdict runs one validation item and renders the verdict.
@@ -574,10 +565,8 @@ func (s *Service) validateItemVerdict(it validateItem) validateResponse {
 // activate, invoke, appoint, revoke and end_session (remote role
 // activation, invocation and credential management, used for
 // cross-domain sessions and the HTTP edge gateway). The validation
-// endpoints sniff the body's
-// first byte and accept both the binary wire bodies (wirebin.go) and the
-// legacy JSON forms, answering in the encoding the caller used, so new
-// and old peers interoperate during a rolling upgrade.
+// endpoints speak the binary wire bodies of wirebin.go; the others take
+// and answer JSON.
 func (s *Service) Handler() func(method string, body []byte) ([]byte, error) {
 	return func(method string, body []byte) ([]byte, error) {
 		if s.readOnly {
@@ -588,28 +577,11 @@ func (s *Service) Handler() func(method string, body []byte) ([]byte, error) {
 		}
 		switch method {
 		case "validate_rmc", "validate_appt":
-			if isBinaryBody(body) {
-				it, err := decodeValidateReqBinary(body)
-				if err != nil {
-					return nil, fmt.Errorf("decode: %w", err)
-				}
-				return encodeValidateRespBinary(s.validateItemVerdict(it)), nil
+			it, err := decodeValidateReqBinary(body)
+			if err != nil {
+				return nil, fmt.Errorf("decode: %w", err)
 			}
-			var it validateItem
-			if method == "validate_rmc" {
-				var req validateRMCRequest
-				if err := json.Unmarshal(body, &req); err != nil {
-					return nil, fmt.Errorf("decode: %w", err)
-				}
-				it = rmcItem(req.RMC, req.Principal)
-			} else {
-				var req validateApptRequest
-				if err := json.Unmarshal(body, &req); err != nil {
-					return nil, fmt.Errorf("decode: %w", err)
-				}
-				it = apptItem(req.Appointment)
-			}
-			return json.Marshal(s.validateItemVerdict(it))
+			return encodeValidateRespBinary(s.validateItemVerdict(it)), nil
 		case "validate_batch":
 			pooled, _ := batchItemsPool.Get().([]validateItem)
 			items, err := decodeValidateBatchReqInto(pooled, body)

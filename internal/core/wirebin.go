@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,11 +10,9 @@ import (
 )
 
 // Binary wire bodies for the callback-validation hot path. Each body
-// starts with a tag byte that can never begin a JSON document ('{' =
-// 0x7b, whitespace, or a quote), so Handler sniffs body[0] and serves
-// whichever encoding the caller used — and answers in kind. Certificates
-// embed their cert package binary forms; strings ride as uvarint length +
-// bytes.
+// starts with a tag byte naming its kind, and a decoder refuses any other
+// tag. Certificates embed their cert package binary forms; strings ride
+// as uvarint length + bytes.
 const (
 	tagValidateRMCReq    = 0x01
 	tagValidateApptReq   = 0x02
@@ -26,12 +23,6 @@ const (
 
 // errWireBin marks malformed binary validation bodies.
 var errWireBin = errors.New("core: malformed binary wire body")
-
-// isBinaryBody reports whether a wire body carries one of the binary
-// tags (as opposed to a JSON document).
-func isBinaryBody(b []byte) bool {
-	return len(b) > 0 && b[0] >= tagValidateRMCReq && b[0] <= tagValidateBatchResp
-}
 
 // maxBatchItems bounds a decoded batch so a corrupt count cannot drive a
 // huge allocation.
@@ -103,14 +94,6 @@ func (it validateItem) encodeBinary() []byte {
 	return it.appendBody([]byte{tag})
 }
 
-// encodeJSON produces the item's legacy JSON single-request body.
-func (it validateItem) encodeJSON() ([]byte, error) {
-	if it.isAppt {
-		return json.Marshal(validateApptRequest{Appointment: it.appt})
-	}
-	return json.Marshal(validateRMCRequest{RMC: it.rmc, Principal: it.principal})
-}
-
 // readItemBody decodes one item payload (no tag) from the front of b.
 func readItemBody(b []byte, isAppt bool) (validateItem, []byte, error) {
 	if isAppt {
@@ -134,7 +117,7 @@ func readItemBody(b []byte, isAppt bool) (validateItem, []byte, error) {
 // decodeValidateReqBinary decodes a tagged single-request body
 // (tagValidateRMCReq or tagValidateApptReq).
 func decodeValidateReqBinary(body []byte) (validateItem, error) {
-	if len(body) < 1 {
+	if len(body) < 1 || (body[0] != tagValidateRMCReq && body[0] != tagValidateApptReq) {
 		return validateItem{}, errWireBin
 	}
 	it, rest, err := readItemBody(body[1:], body[0] == tagValidateApptReq)

@@ -7,10 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cert"
 	"repro/internal/names"
 	"repro/internal/obs"
-	"repro/internal/sign"
 )
 
 // DefaultGroupWindow is the group-commit batching window: an append waits
@@ -356,16 +354,12 @@ func (l *Log) Recovered() (*State, error) {
 }
 
 // Append journals a record without waiting for it to reach disk: it is
-// written by the next group commit and fsynced within SyncLag. The hot
-// issue path uses this — the failure direction (a lost issue record) is
-// fail-closed.
+// written by the next group commit and fsynced within SyncLag. Fact
+// changes use this.
 func (l *Log) Append(rec Record) { l.enqueue(rec, nil) }
 
 // AppendWait journals a record and blocks until its batch has been
-// written and fsynced. Revocations and appointment issues use this: a
-// revocation must never be forgotten once acknowledged, and a long-lived
-// appointment certificate should not be handed to its holder before the
-// issuer can remember issuing it.
+// written and fsynced.
 func (l *Log) AppendWait(rec Record) error {
 	errc := make(chan error, 1)
 	if !l.enqueue(rec, errc) {
@@ -381,8 +375,9 @@ func (l *Log) AppendWait(rec Record) error {
 // batch has been written and fsynced; it also pokes the committer's
 // urgent channel so a pre-grouped batch skips the group-commit nap —
 // the nap exists to let independent racers coalesce, and a sequencer
-// batch already did that upstream. Callers pass the per-shard
-// sequencer's batch output here; empty groups are a no-op.
+// batch already did that upstream. This is the core.Journal method:
+// services pass each sequencer batch (or lone inline mutation) here;
+// empty groups are a no-op.
 func (l *Log) AppendGroup(recs []Record, wait bool) error {
 	if len(recs) == 0 {
 		return nil
@@ -835,47 +830,6 @@ func (l *Log) Close() error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	return l.f.Close()
-}
-
-// --- mutation hooks -------------------------------------------------------
-//
-// These methods satisfy the engine's journaling interfaces (core.Journal
-// and store.ChangeFunc) so one Log threads through every layer.
-
-// CRIssued journals a credential-record issue (async: the failure
-// direction of a lost issue is fail-closed denial after a crash).
-func (l *Log) CRIssued(service string, serial uint64, subject, holder string) {
-	l.Append(Record{Op: OpCRIssue, Service: service, Serial: serial, Subject: subject, Holder: holder})
-}
-
-// CRRevoked journals a credential-record revocation, durably: once the
-// revocation has been published it must survive any crash.
-func (l *Log) CRRevoked(service string, serial uint64, reason string) {
-	if err := l.AppendWait(Record{Op: OpCRRevoke, Service: service, Serial: serial, Reason: reason}); err != nil {
-		l.appendErrors.Inc()
-	}
-}
-
-// ApptIssued journals an issued appointment certificate, durably: the
-// certificate outlives sessions, so the issuer must remember it before
-// the holder does.
-func (l *Log) ApptIssued(service string, a cert.AppointmentCertificate) {
-	if err := l.AppendWait(Record{Op: OpApptIssue, Service: service, Serial: a.Serial, Appt: &a}); err != nil {
-		l.appendErrors.Inc()
-	}
-}
-
-// ApptRevoked journals an appointment revocation, durably.
-func (l *Log) ApptRevoked(service string, serial uint64, reason string) {
-	if err := l.AppendWait(Record{Op: OpApptRevoke, Service: service, Serial: serial, Reason: reason}); err != nil {
-		l.appendErrors.Inc()
-	}
-}
-
-// KeysInstalled journals a service's signing secrets so certificates
-// signed before a crash still verify after recovery.
-func (l *Log) KeysInstalled(service string, retain int, secrets []sign.Secret) error {
-	return l.AppendWait(Record{Op: OpKeys, Service: service, Retain: retain, Secrets: secrets})
 }
 
 // FactChanged journals a fact store mutation; register it as a store

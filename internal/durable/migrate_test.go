@@ -265,7 +265,7 @@ func TestReplayStatsCoverHandOff(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir)
 	for i := uint64(1); i <= 500; i++ {
-		l.CRIssued("s", i, "s.role(x)", "holder")
+		l.Append(Record{Op: OpCRIssue, Service: "s", Serial: i, Subject: "s.role(x)", Holder: "holder"})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func boot(t *testing.T, dlog *durable.Log, admins ...string) *bootWorld {
 	t.Cleanup(w.admin.Close)
 	if cfg.KeyRing == nil {
 		secrets, retain := w.admin.ExportKeys()
-		if err := dlog.KeysInstalled("admin", retain, secrets); err != nil {
+		if err := dlog.AppendWait(durable.Record{Op: durable.OpKeys, Service: "admin", Retain: retain, Secrets: secrets}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,9 +63,11 @@ func TestMirrorMatchesDisk(t *testing.T) {
 	}
 
 	for i := uint64(1); i <= 40; i++ {
-		l.CRIssued("svc", i, "role", "holder")
+		l.Append(Record{Op: OpCRIssue, Service: "svc", Serial: i, Subject: "role", Holder: "holder"})
 		if i%5 == 0 {
-			l.CRRevoked("svc", i, "churn")
+			if err := l.AppendWait(Record{Op: OpCRRevoke, Service: "svc", Serial: i, Reason: "churn"}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if i%10 == 0 {
 			if err := l.Compact(); err != nil {
@@ -139,7 +141,7 @@ func TestReadSegmentAtFollowsRotation(t *testing.T) {
 	}
 
 	for i := uint64(1); i <= 30; i++ {
-		l.CRIssued("svc", i, "role", "holder")
+		l.Append(Record{Op: OpCRIssue, Service: "svc", Serial: i, Subject: "role", Holder: "holder"})
 		if i == 10 || i == 20 {
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
@@ -179,7 +181,7 @@ func TestNotifyCommitWakesTailer(t *testing.T) {
 	l.NotifyCommit(ch)
 	defer l.StopNotify(ch)
 
-	l.CRIssued("svc", 1, "role", "holder")
+	l.Append(Record{Op: OpCRIssue, Service: "svc", Serial: 1, Subject: "role", Holder: "holder"})
 	select {
 	case <-ch:
 	case <-time.After(5 * time.Second):

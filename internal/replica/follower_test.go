@@ -52,7 +52,7 @@ func startTestLeader(t *testing.T, leaseTTL time.Duration) *testLeader {
 		return []names.Substitution{s.Clone()}
 	})
 	secrets, retain := svc.ExportKeys()
-	if err := dlog.KeysInstalled("login", retain, secrets); err != nil {
+	if err := dlog.AppendWait(durable.Record{Op: durable.OpKeys, Service: "login", Retain: retain, Secrets: secrets}); err != nil {
 		t.Fatal(err)
 	}
 	ship := NewShipper(ShipperConfig{Log: dlog, Node: "L", LeaseTTL: leaseTTL, Heartbeat: 20 * time.Millisecond})
@@ -145,26 +145,26 @@ func waitConverged(t *testing.T, tl *testLeader, f *Follower) {
 	}
 }
 
+// handlerCaller calls one wire handler in process and returns its errors
+// unwrapped, so errors.Is still sees the handler's sentinels (ErrStale).
+type handlerCaller rpc.Handler
+
+func (h handlerCaller) Call(_, method string, body []byte) ([]byte, error) { return h(method, body) }
+
+// validateOn asks h for a verdict on rmc the way a remote service does:
+// the binary validate_rmc call of core.RemoteValidator. It reports the
+// issuer's verdict, or the error that prevented one.
 func validateOn(t *testing.T, h rpc.Handler, rmc cert.RMC, principal string) (bool, error) {
 	t.Helper()
-	body, err := json.Marshal(struct {
-		RMC       cert.RMC `json:"rmc"`
-		Principal string   `json:"principal"`
-	}{rmc, principal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := h("validate_rmc", body)
-	if err != nil {
+	err := core.NewRemoteValidator("test", handlerCaller(h), -1, nil).ValidateRMC(rmc, principal)
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, core.ErrRevoked):
+		return false, nil
+	default:
 		return false, err
 	}
-	var resp struct {
-		Valid bool `json:"valid"`
-	}
-	if err := json.Unmarshal(out, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp.Valid, nil
 }
 
 // TestFollowerServesReadsAndProxiesWrites is the end-to-end follower

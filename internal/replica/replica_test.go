@@ -185,9 +185,11 @@ func TestShipperKillPointsConverge(t *testing.T) {
 	burst := func(n int) {
 		for i := 0; i < n; i++ {
 			serial++
-			l.CRIssued("svc", serial, "svc.user", fmt.Sprintf("p%d", serial))
+			l.Append(durable.Record{Op: durable.OpCRIssue, Service: "svc", Serial: serial, Subject: "svc.user", Holder: fmt.Sprintf("p%d", serial)})
 			if serial%3 == 0 {
-				l.CRRevoked("svc", serial, "churn")
+				if err := l.AppendWait(durable.Record{Op: durable.OpCRRevoke, Service: "svc", Serial: serial, Reason: "churn"}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := l.Sync(); err != nil {
@@ -243,7 +245,7 @@ func TestShipperResetsOnLeaderRestart(t *testing.T) {
 	a := &applier{state: durable.NewState()}
 
 	for s := uint64(1); s <= 8; s++ {
-		l1.CRIssued("svc", s, "svc.user", "holder")
+		l1.Append(durable.Record{Op: durable.OpCRIssue, Service: "svc", Serial: s, Subject: "svc.user", Holder: "holder"})
 	}
 	stop := subscribeApplier(t, ship1, a, durable.Cursor{})
 	waitCaughtUp(t, l1, a)
@@ -255,7 +257,9 @@ func TestShipperResetsOnLeaderRestart(t *testing.T) {
 
 	l2 := openLog(t, dir)
 	defer l2.Close() //nolint:errcheck
-	l2.CRRevoked("svc", 3, "post-restart")
+	if err := l2.AppendWait(durable.Record{Op: durable.OpCRRevoke, Service: "svc", Serial: 3, Reason: "post-restart"}); err != nil {
+		t.Fatal(err)
+	}
 	ship2 := NewShipper(ShipperConfig{Log: l2, Heartbeat: 5 * time.Millisecond})
 
 	before := a.snapshots

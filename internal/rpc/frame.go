@@ -10,24 +10,19 @@ import (
 	"sync"
 )
 
-// Wire protocol v2 ("OW2"): length-prefixed, CRC-checked binary frames
+// Wire protocol "OW2": length-prefixed, CRC-checked binary frames
 // multiplexed by request id over one connection. Many calls are in flight
 // per connection at once; responses match requests by id, so a slow
-// handler no longer head-of-line-blocks its pool slot the way the
-// lockstep gob exchange did (and a late response is simply dropped by the
-// demux instead of desyncing the stream).
+// handler does not head-of-line-block its pool slot, and a late response
+// is simply dropped by the demux.
 //
-// A v2 client announces itself with a 4-byte preamble the moment the
+// A client announces itself with a 4-byte preamble the moment the
 // connection opens:
 //
 //	0x00 'O' 'W' version
 //
-// The leading zero byte is the protocol discriminator: a gob stream can
-// never begin with 0x00 (gob prefixes every message with its byte count,
-// encoded as either the count itself for counts < 128 or as a negated
-// byte-length marker — both nonzero), so the server peeks one byte and
-// serves whichever protocol the client speaks. Legacy gob clients keep
-// working against new servers, which is the rolling-upgrade path.
+// The server reads all four bytes before anything else and closes, without
+// answering, a connection whose preamble is anything other than its own.
 //
 // Every frame after the preamble has the same envelope in both
 // directions:
@@ -46,7 +41,7 @@ import (
 // Cancel payload:   empty, sent client→server to end the stream opened
 // by the request with the same id (unacknowledged; see stream.go).
 const (
-	frameProtoByte   = 0x00 // discriminator: never the first byte of a gob stream
+	frameLead        = 0x00
 	frameMagic0      = 'O'
 	frameMagic1      = 'W'
 	frameVersion     = 0x02
@@ -73,19 +68,19 @@ var (
 	errFrameTooLarge = errors.New("rpc: frame exceeds size limit")
 )
 
-// framePreamble returns the 4-byte connection preamble a v2 client sends
+// framePreamble returns the 4-byte connection preamble a client sends
 // before its first frame.
 func framePreamble() []byte {
-	return []byte{frameProtoByte, frameMagic0, frameMagic1, frameVersion}
+	return []byte{frameLead, frameMagic0, frameMagic1, frameVersion}
 }
 
-// checkPreamble validates the 3 preamble bytes after the discriminator.
+// checkPreamble validates a 4-byte connection preamble.
 func checkPreamble(p []byte) error {
-	if len(p) != 3 || p[0] != frameMagic0 || p[1] != frameMagic1 {
+	if len(p) != 4 || p[0] != frameLead || p[1] != frameMagic0 || p[2] != frameMagic1 {
 		return fmt.Errorf("%w: bad preamble magic", errFrameCorrupt)
 	}
-	if p[2] != frameVersion {
-		return fmt.Errorf("%w: unsupported protocol version %d", errFrameCorrupt, p[2])
+	if p[3] != frameVersion {
+		return fmt.Errorf("%w: unsupported protocol version %d", errFrameCorrupt, p[3])
 	}
 	return nil
 }

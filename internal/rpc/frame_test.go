@@ -12,17 +12,21 @@ import (
 
 func TestFramePreambleRoundTrip(t *testing.T) {
 	pre := framePreamble()
-	if len(pre) != 4 || pre[0] != frameProtoByte {
+	if len(pre) != 4 || pre[0] != frameLead {
 		t.Fatalf("preamble = %v", pre)
 	}
-	if err := checkPreamble(pre[1:]); err != nil {
+	if err := checkPreamble(pre); err != nil {
 		t.Fatalf("checkPreamble(own preamble) = %v", err)
 	}
-	if err := checkPreamble([]byte{'O', 'W', 0x7f}); err == nil {
-		t.Fatal("future protocol version accepted")
-	}
-	if err := checkPreamble([]byte{'X', 'Y', frameVersion}); err == nil {
-		t.Fatal("bad magic accepted")
+	for name, bad := range map[string][]byte{
+		"future version": {frameLead, 'O', 'W', 0x7f},
+		"bad magic":      {frameLead, 'X', 'Y', frameVersion},
+		"bad lead byte":  {0x1f, 'O', 'W', frameVersion},
+		"short":          pre[:3],
+	} {
+		if err := checkPreamble(bad); err == nil {
+			t.Errorf("%s accepted: % x", name, bad)
+		}
 	}
 }
 

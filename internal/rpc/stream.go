@@ -1,13 +1,12 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
 
-// Server→client event streams over the protocol-v2 framing.
+// Server→client event streams over the OW2 framing.
 //
 // A stream is opened by an ordinary request frame whose (service, method)
 // pair was registered with RegisterStream instead of Register. The server
@@ -35,10 +34,6 @@ import (
 // response (the subscription is live from the moment the handler
 // returns). Clients register their event callback before sending the
 // opening request, so early events are delivered, not dropped.
-
-// ErrStreamUnsupported is returned by TCPClient.Stream when the pool slot
-// speaks the legacy gob protocol (v1), which has no event framing.
-var ErrStreamUnsupported = errors.New("rpc: event streams require protocol v2")
 
 // StreamHandler sets up one server-side stream subscription. It is called
 // on the connection's dispatch path with the opening request's method and
@@ -147,7 +142,7 @@ func (c *connStreams) stopAll() {
 
 // startStream runs one stream setup on the server: invoke the handler,
 // register the stop func, acknowledge. Runs on a dispatch goroutine of
-// serveBinary under the connection's inflight/sem accounting.
+// serveFrames under the connection's inflight/sem accounting.
 func (s *TCPServer) startStream(id uint64, h StreamHandler, method string, body []byte, writeCh chan<- []byte, done <-chan struct{}, cs *connStreams) {
 	send := func(payload []byte) error {
 		frame := appendFrame(getFrameBuf(), frameKindEvent, id, payload)
@@ -236,18 +231,12 @@ func (cs *ClientStream) finish(err error) {
 // ClientStream for the callback contract). The call blocks until the
 // server acknowledges the subscription (bounded by the client's per-call
 // timeout); setup errors surface as RemoteError exactly like a failed
-// call. Requires protocol v2 — legacy gob pool slots return
-// ErrStreamUnsupported.
+// call.
 func (c *TCPClient) Stream(service, method string, body []byte, onEvent func([]byte)) (*ClientStream, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("stream %s.%s on closed client: %w", service, method, ErrConnBroken)
 	}
-	p := c.pool[c.next.Add(1)%uint64(len(c.pool))]
-	m, ok := p.(*muxConn)
-	if !ok {
-		return nil, fmt.Errorf("stream %s.%s: %w", service, method, ErrStreamUnsupported)
-	}
-	return m.stream(service, method, body, onEvent)
+	return c.pool[c.next.Add(1)%uint64(len(c.pool))].stream(service, method, body, onEvent)
 }
 
 func (m *muxConn) stream(service, method string, body []byte, onEvent func([]byte)) (*ClientStream, error) {

@@ -215,19 +215,6 @@ func TestStreamSetupError(t *testing.T) {
 	}
 }
 
-func TestStreamUnsupportedOnGob(t *testing.T) {
-	_, addr := startServer(t)
-	cli, err := DialTCPGob(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close() //nolint:errcheck
-	_, err = cli.Stream("feed", "subscribe", nil, func([]byte) {})
-	if !errors.Is(err, ErrStreamUnsupported) {
-		t.Fatalf("err = %v, want ErrStreamUnsupported", err)
-	}
-}
-
 func TestStreamCoexistsWithCalls(t *testing.T) {
 	srv, addr := startServer(t)
 	srv.RegisterStream("feed", "subscribe", func(_ string, _ []byte, send func([]byte) error) (func(), error) {

@@ -2,8 +2,8 @@ package rpc
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,22 +11,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// wireRequest and wireResponse are the gob frames exchanged by the legacy
-// (protocol v1) TCP transport. Err distinguishes transport-visible handler
-// failures.
-type wireRequest struct {
-	ID      uint64
-	Service string
-	Method  string
-	Body    []byte
-}
-
-type wireResponse struct {
-	ID   uint64
-	Body []byte
-	Err  string
-}
 
 // maxInflightPerConn bounds concurrently dispatched handlers per
 // connection so one pipelining client cannot exhaust the server.
@@ -120,13 +104,11 @@ func runFrameWriter(conn net.Conn, writeCh <-chan []byte, done <-chan struct{}, 
 	}
 }
 
-// TCPServer serves registered handlers over a net.Listener. It speaks
-// both wire protocols: the pipelined binary framing of frame.go (new
-// clients, detected by the connection preamble) and the legacy gob
-// request/response stream (old clients). In both, each request is
-// dispatched on its own goroutine so a slow handler does not
-// head-of-line block the connection, and responses may arrive out of
-// request order — clients match on ID.
+// TCPServer serves registered handlers over a net.Listener, speaking the
+// pipelined binary framing of frame.go. Each request is dispatched on its
+// own goroutine so a slow handler does not head-of-line block the
+// connection, and responses may arrive out of request order — clients
+// match on ID.
 type TCPServer struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
@@ -194,9 +176,8 @@ func (s *TCPServer) Serve(ln net.Listener) error {
 	}
 }
 
-// serveConn sniffs the client's protocol from the first byte and serves
-// the matching loop. Gob streams never begin with 0x00 (see frame.go), so
-// the discriminator is unambiguous.
+// serveConn reads the connection preamble and serves the frame loop. A
+// peer that does not open with the OW2 preamble is closed unanswered.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -207,15 +188,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 	cc := countingConn{Conn: conn, m: &s.metrics}
 	br := bufio.NewReaderSize(cc, wireBufSize)
-	first, err := br.Peek(1)
-	if err != nil {
+	var pre [4]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil || checkPreamble(pre[:]) != nil {
 		return
 	}
-	if first[0] == frameProtoByte {
-		s.serveBinary(cc, br)
-		return
-	}
-	s.serveGob(cc, br)
+	s.serveFrames(cc, br)
 }
 
 // handle runs the handler lookup + invocation for one request and
@@ -234,18 +211,11 @@ func (s *TCPServer) handle(service, method string, body []byte) (out []byte, err
 	return out, ""
 }
 
-// serveBinary is the protocol-v2 connection loop: demux-free on the read
-// side (requests are independent), concurrent dispatch bounded by
-// maxInflightPerConn, responses funnelled through one coalescing writer
-// goroutine.
-func (s *TCPServer) serveBinary(conn net.Conn, br *bufio.Reader) {
-	var pre [4]byte
-	if _, err := br.Read(pre[:1]); err != nil { // the peeked discriminator
-		return
-	}
-	if _, err := br.Read(pre[1:]); err != nil || checkPreamble(pre[1:]) != nil {
-		return
-	}
+// serveFrames is the connection loop after the preamble: demux-free on
+// the read side (requests are independent), concurrent dispatch bounded
+// by maxInflightPerConn, responses funnelled through one coalescing
+// writer goroutine.
+func (s *TCPServer) serveFrames(conn net.Conn, br *bufio.Reader) {
 	writeCh := make(chan []byte, writeQueueDepth)
 	done := make(chan struct{})
 	var closeOnce sync.Once
@@ -317,36 +287,6 @@ func (s *TCPServer) serveBinary(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// serveGob is the legacy protocol-v1 loop: a shared gob stream with
-// serialized response writes (kept for rolling compatibility with old
-// clients; see DESIGN.md §11).
-func (s *TCPServer) serveGob(conn net.Conn, br *bufio.Reader) {
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	var wmu sync.Mutex // serialises response writes across handler goroutines
-	sem := make(chan struct{}, maxInflightPerConn)
-	for {
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or broken connection
-		}
-		sem <- struct{}{}
-		inflight.Add(1)
-		go func(req wireRequest) {
-			defer func() { <-sem; inflight.Done() }()
-			resp := wireResponse{ID: req.ID}
-			resp.Body, resp.Err = s.handle(req.Service, req.Method, req.Body)
-			wmu.Lock()
-			defer wmu.Unlock()
-			// A write failure means the connection is going away; the
-			// read loop will observe the same failure and tear down.
-			enc.Encode(resp) //nolint:errcheck
-		}(req)
-	}
-}
-
 // Close stops accepting, closes open connections and waits for connection
 // goroutines to finish.
 func (s *TCPServer) Close() {
@@ -384,24 +324,15 @@ const (
 	redialBackoffMax  = 1 * time.Second
 )
 
-// poolConn is one slot of a TCPClient's connection pool. Two
-// implementations: muxConn (protocol v2, many in-flight calls per
-// connection) and tcpConn (legacy gob lockstep, one call at a time).
-type poolConn interface {
-	roundTrip(service, method string, body []byte) ([]byte, error)
-	close() error
-}
-
 // TCPClient issues calls over a small pool of TCP connections to one
 // server. It is safe for concurrent use: calls are spread round-robin
-// over the pool, and (protocol v2) each connection multiplexes many
-// in-flight calls by request id, so a slow handler delays only its own
-// caller.
+// over the pool, and each connection multiplexes many in-flight calls by
+// request id, so a slow handler delays only its own caller.
 //
 // The client is self-healing: any dial, write, read, or framing failure
 // marks that connection broken and the next call on the slot
 // transparently redials with bounded exponential backoff. A per-call
-// timeout (protocol v2) abandons only that call — the connection and
+// timeout abandons only that call — the connection and
 // every other in-flight call on it survive, and the late response is
 // dropped by the demux when it eventually arrives.
 type TCPClient struct {
@@ -411,41 +342,25 @@ type TCPClient struct {
 
 	nextID  atomic.Uint64 // client-global so IDs never repeat across redials
 	next    atomic.Uint64 // round-robin pool cursor
-	pool    []poolConn
+	pool    []*muxConn
 	closed  atomic.Bool
 	metrics wireMetrics
 }
 
 var _ Caller = (*TCPClient)(nil)
 
-// DialTCP connects to a TCPServer with a single pooled connection,
-// speaking the pipelined binary framing (protocol v2). timeout bounds
+// DialTCP connects to a TCPServer with a single pooled connection.
+// timeout bounds
 // each call round trip and, when set, connection establishment too (zero
 // means no call deadline and a default dial timeout).
 func DialTCP(addr string, timeout time.Duration) (*TCPClient, error) {
 	return DialTCPPool(addr, timeout, 1)
 }
 
-// DialTCPPool connects to a TCPServer with size pooled connections
-// (protocol v2). The first connection is dialled eagerly so configuration
-// errors surface immediately; the rest are dialled lazily on demand.
+// DialTCPPool connects to a TCPServer with size pooled connections. The
+// first connection is dialled eagerly so configuration errors surface
+// immediately; the rest are dialled lazily on demand.
 func DialTCPPool(addr string, timeout time.Duration, size int) (*TCPClient, error) {
-	return dialPool(addr, timeout, size, false)
-}
-
-// DialTCPGob connects with the legacy lockstep gob protocol (v1): one
-// in-flight call per connection, any stream disturbance breaks the
-// connection. Kept for rolling compatibility with pre-v2 servers.
-func DialTCPGob(addr string, timeout time.Duration) (*TCPClient, error) {
-	return dialPool(addr, timeout, 1, true)
-}
-
-// DialTCPPoolGob is DialTCPGob with size pooled connections.
-func DialTCPPoolGob(addr string, timeout time.Duration, size int) (*TCPClient, error) {
-	return dialPool(addr, timeout, size, true)
-}
-
-func dialPool(addr string, timeout time.Duration, size int, legacy bool) (*TCPClient, error) {
 	if size < 1 {
 		size = 1
 	}
@@ -454,23 +369,14 @@ func dialPool(addr string, timeout time.Duration, size int, legacy bool) (*TCPCl
 		dialTimeout = defaultDialTimeout
 	}
 	c := &TCPClient{addr: addr, timeout: timeout, dialTimeout: dialTimeout}
-	c.pool = make([]poolConn, size)
+	c.pool = make([]*muxConn, size)
 	for i := range c.pool {
-		if legacy {
-			c.pool[i] = &tcpConn{cli: c}
-		} else {
-			c.pool[i] = &muxConn{cli: c}
-		}
+		c.pool[i] = &muxConn{cli: c}
 	}
-	var err error
-	switch p := c.pool[0].(type) {
-	case *tcpConn:
-		err = p.redialLocked()
-	case *muxConn:
-		p.mu.Lock()
-		_, err = p.redialLocked()
-		p.mu.Unlock()
-	}
+	p := c.pool[0]
+	p.mu.Lock()
+	_, err := p.redialLocked()
+	p.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -497,21 +403,15 @@ func (c *TCPClient) Call(service, method string, body []byte) ([]byte, error) {
 	return p.roundTrip(service, method, body)
 }
 
-// Close closes all pooled connections; subsequent calls fail.
+// Close closes all pooled connections; subsequent calls fail. It always
+// returns nil.
 func (c *TCPClient) Close() error {
 	c.closed.Store(true)
-	var first error
 	for _, p := range c.pool {
-		if err := p.close(); err != nil && first == nil {
-			first = err
-		}
+		p.close()
 	}
-	return first
+	return nil
 }
-
-// ---------------------------------------------------------------------------
-// Protocol v2 pool slot: multiplexed binary framing.
-// ---------------------------------------------------------------------------
 
 // muxResult is one demuxed response (or teardown notice) delivered to a
 // waiting call.
@@ -535,7 +435,7 @@ type muxStream struct {
 	streams map[uint64]*ClientStream  // open event streams, same guard
 }
 
-// muxConn is one pool slot speaking protocol v2. conn state lives in cur;
+// muxConn is one pool slot. Connection state lives in cur;
 // nil means disconnected and the next call dials (honouring the backoff
 // window left by previous dial failures).
 type muxConn struct {
@@ -615,8 +515,8 @@ func (m *muxConn) fail(st *muxStream) {
 
 // readLoop demuxes response frames to their waiting calls by request id.
 // A response whose id has no waiter (abandoned by a per-call timeout, or
-// a server bug) is dropped and counted — it can no longer poison the
-// stream the way it did under lockstep gob.
+// a server bug) is dropped and counted; the stream stays in sync because
+// every frame is self-delimiting.
 func (m *muxConn) readLoop(st *muxStream, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, wireBufSize)
 	for {
@@ -710,128 +610,11 @@ func (m *muxConn) roundTrip(service, method string, body []byte) ([]byte, error)
 	}
 }
 
-func (m *muxConn) close() error {
+func (m *muxConn) close() {
 	m.mu.Lock()
 	st := m.cur
 	m.mu.Unlock()
 	if st != nil {
 		m.fail(st)
 	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Protocol v1 pool slot: legacy lockstep gob.
-// ---------------------------------------------------------------------------
-
-// tcpConn is one legacy pool slot: a connection with its gob codec pair
-// and the redial backoff state left by previous failures. conn == nil
-// means the slot is disconnected and the next call dials.
-//
-// Any encode, decode, or deadline failure marks the connection broken — a
-// late response would otherwise desync the shared gob stream and poison
-// every later call — and the next call on the slot transparently redials.
-type tcpConn struct {
-	cli *TCPClient
-
-	mu        sync.Mutex
-	conn      net.Conn
-	enc       *gob.Encoder
-	dec       *gob.Decoder
-	dialFails int
-	nextDial  time.Time
-}
-
-// redialLocked (re)establishes the slot's connection, honouring the
-// backoff window left by previous dial failures. Called with p.mu held
-// (or before the client is shared).
-func (p *tcpConn) redialLocked() error {
-	if wait := time.Until(p.nextDial); wait > 0 {
-		time.Sleep(wait)
-	}
-	conn, err := net.DialTimeout("tcp", p.cli.addr, p.cli.dialTimeout)
-	if err != nil {
-		p.dialFails++
-		backoff := redialBackoffBase << uint(min(p.dialFails-1, 10))
-		if backoff > redialBackoffMax {
-			backoff = redialBackoffMax
-		}
-		p.nextDial = time.Now().Add(backoff)
-		return fmt.Errorf("dial %s: %w", p.cli.addr, err)
-	}
-	p.dialFails = 0
-	p.nextDial = time.Time{}
-	p.conn = conn
-	cc := countingConn{Conn: conn, m: &p.cli.metrics}
-	p.enc = gob.NewEncoder(cc)
-	p.dec = gob.NewDecoder(cc)
-	return nil
-}
-
-// breakLocked discards a connection whose stream state is no longer
-// trustworthy. Called with p.mu held.
-func (p *tcpConn) breakLocked() {
-	if p.conn != nil {
-		p.conn.Close() //nolint:errcheck
-	}
-	p.conn, p.enc, p.dec = nil, nil, nil
-}
-
-func (p *tcpConn) roundTrip(service, method string, body []byte) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil {
-		if err := p.redialLocked(); err != nil {
-			return nil, err
-		}
-	}
-	req := wireRequest{ID: p.cli.nextID.Add(1), Service: service, Method: method, Body: body}
-	if t := p.cli.timeout; t > 0 {
-		if err := p.conn.SetDeadline(time.Now().Add(t)); err != nil {
-			p.breakLocked()
-			return nil, fmt.Errorf("set deadline for %s.%s: %w", service, method, ErrConnBroken)
-		}
-	}
-	if err := p.enc.Encode(req); err != nil {
-		p.breakLocked()
-		return nil, fmt.Errorf("send %s.%s: %v: %w", service, method, err, ErrConnBroken)
-	}
-	var resp wireResponse
-	if err := p.dec.Decode(&resp); err != nil {
-		// The response may still arrive later (slow handler) or never;
-		// either way undecoded frames would desync the stream, so the
-		// connection can never be trusted again.
-		p.breakLocked()
-		return nil, fmt.Errorf("receive %s.%s: %v: %w", service, method, err, ErrConnBroken)
-	}
-	if resp.ID != req.ID {
-		// A skewed frame (e.g. the answer to an abandoned request):
-		// resynchronising is impossible without framing guarantees, so
-		// drop the connection.
-		p.breakLocked()
-		return nil, fmt.Errorf("%s.%s: response id %d for request %d: %w",
-			service, method, resp.ID, req.ID, ErrConnBroken)
-	}
-	if t := p.cli.timeout; t > 0 {
-		// Clear the per-call deadline so the idle connection does not
-		// expire it later and surface a spurious i/o timeout on reuse.
-		if err := p.conn.SetDeadline(time.Time{}); err != nil {
-			p.breakLocked()
-		}
-	}
-	if resp.Err != "" {
-		return nil, &RemoteError{Service: service, Method: method, Msg: resp.Err}
-	}
-	return resp.Body, nil
-}
-
-func (p *tcpConn) close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var err error
-	if p.conn != nil {
-		err = p.conn.Close()
-		p.conn, p.enc, p.dec = nil, nil, nil
-	}
-	return err
 }

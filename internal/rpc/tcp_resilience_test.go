@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -50,93 +49,6 @@ func TestTCPSlowResponseDoesNotPoisonStream(t *testing.T) {
 		if out, err := cli.Call("svc", "m", []byte{byte(i)}); err != nil || string(out) != "echo:"+string([]byte{byte(i)}) {
 			t.Fatalf("call %d after recovery: (%q, %v)", i, out, err)
 		}
-	}
-}
-
-// TestTCPGobSlowResponseBreaksConn is the legacy-protocol regression test
-// for the poisoned-stream bug: under lockstep gob a timed-out call leaves
-// its late response frame in flight, so the client must mark the
-// connection broken (ErrConnBroken) and the next call must redial rather
-// than decode the stale frame.
-func TestTCPGobSlowResponseBreaksConn(t *testing.T) {
-	srv, addr := startServer(t)
-	var calls atomic.Int64
-	srv.Register("svc", func(method string, body []byte) ([]byte, error) {
-		if calls.Add(1) == 1 {
-			time.Sleep(300 * time.Millisecond) // outlives the client deadline
-		}
-		return append([]byte("echo:"), body...), nil
-	})
-	cli, err := DialTCPGob(addr, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close() //nolint:errcheck
-
-	if _, err := cli.Call("svc", "m", []byte("first")); !errors.Is(err, ErrConnBroken) {
-		t.Fatalf("slow call err = %v, want ErrConnBroken", err)
-	}
-	out, err := cli.Call("svc", "m", []byte("second"))
-	if err != nil {
-		t.Fatalf("call after timeout failed (stream poisoned?): %v", err)
-	}
-	if string(out) != "echo:second" {
-		t.Fatalf("out = %q, want the second call's own response", out)
-	}
-}
-
-// TestTCPResponseIDMismatchBreaksConn drives the legacy gob client
-// against a misbehaving server that answers the first request with the
-// wrong ID. Without framing guarantees the stream cannot be resynced, so
-// the client must surface ErrConnBroken (not a silent skew) and recover
-// by redialling. (The binary protocol instead drops unmatched ids — see
-// TestTCPMuxUnmatchedResponseDropped.)
-func TestTCPResponseIDMismatchBreaksConn(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close() //nolint:errcheck
-	var first atomic.Bool
-	first.Store(true)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close() //nolint:errcheck
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req wireRequest
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					id := req.ID
-					if first.Swap(false) {
-						id += 1000 // skewed frame
-					}
-					if err := enc.Encode(wireResponse{ID: id, Body: req.Body}); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	cli, err := DialTCPGob(ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close() //nolint:errcheck
-	if _, err := cli.Call("svc", "m", []byte("a")); !errors.Is(err, ErrConnBroken) {
-		t.Fatalf("skewed response err = %v, want ErrConnBroken", err)
-	}
-	out, err := cli.Call("svc", "m", []byte("b"))
-	if err != nil || string(out) != "b" {
-		t.Fatalf("call after redial = (%q, %v)", out, err)
 	}
 }
 
@@ -220,7 +132,7 @@ func TestTCPReconnectAfterServerRestart(t *testing.T) {
 	}
 }
 
-// TestTCPServerConcurrentDispatch pipelines two requests on one raw
+// TestTCPServerConcurrentDispatch pipelines two request frames on one raw
 // connection; with concurrent dispatch the fast second request must be
 // answered before the slow first one.
 func TestTCPServerConcurrentDispatch(t *testing.T) {
@@ -237,28 +149,64 @@ func TestTCPServerConcurrentDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-
-	if err := enc.Encode(wireRequest{ID: 1, Service: "svc", Method: "slow"}); err != nil {
+	out := framePreamble()
+	out = appendRequestFrame(out, 1, "svc", "slow", nil)
+	out = appendRequestFrame(out, 2, "svc", "fast", nil)
+	if _, err := conn.Write(out); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(wireRequest{ID: 2, Service: "svc", Method: "fast"}); err != nil {
+	br := bufio.NewReader(conn)
+	_, id, _, err := readFrame(br)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var resp wireResponse
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 2 {
-		t.Fatalf("first response ID = %d, want 2 (slow handler blocked the connection)", resp.ID)
+	if id != 2 {
+		t.Fatalf("first response ID = %d, want 2 (slow handler blocked the connection)", id)
 	}
 	close(release)
-	if err := dec.Decode(&resp); err != nil {
+	if _, id, _, err = readFrame(br); err != nil {
 		t.Fatal(err)
 	}
-	if resp.ID != 1 {
-		t.Fatalf("second response ID = %d, want 1", resp.ID)
+	if id != 1 {
+		t.Fatalf("second response ID = %d, want 1", id)
+	}
+}
+
+// TestTCPServerClosesNonOW2Preamble: a peer that does not open with the
+// OW2 preamble — a gob stream, an HTTP request, an OW2 preamble of
+// another version — is closed without an answer, and the server keeps
+// serving OW2 clients afterwards.
+func TestTCPServerClosesNonOW2Preamble(t *testing.T) {
+	srv, addr := startServer(t)
+	srv.Register("svc", func(_ string, body []byte) ([]byte, error) { return body, nil })
+	// Each opening is exactly preamble-sized, so the server has read all
+	// of it when it hangs up (unread bytes would turn the FIN into a RST).
+	for name, opening := range map[string][]byte{
+		"gob length prefix": {0x1f, 0xff, 0x81, 0x03},
+		"http":              []byte("GET "),
+		"other OW2 version": {0x00, 'O', 'W', 0x01},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		n, err := conn.Read(make([]byte, 64))
+		conn.Close() //nolint:errcheck
+		if n != 0 || !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: read = (%d, %v), want (0, EOF)", name, n, err)
+		}
+	}
+	cli, err := DialTCP(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close() //nolint:errcheck
+	if out, err := cli.Call("svc", "echo", []byte("ok")); err != nil || string(out) != "ok" {
+		t.Fatalf("OW2 call after rejected peers = (%q, %v)", out, err)
 	}
 }
 
@@ -293,8 +241,7 @@ func TestTCPPoolConcurrentCalls(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTCPMuxUnmatchedResponseDropped: under the binary protocol a
-// response whose id matches no waiting call (late answer to an abandoned
+// TestTCPMuxUnmatchedResponseDropped: a response whose id matches no waiting call (late answer to an abandoned
 // request, or a buggy server) is dropped and counted, not fatal — the
 // matched response that follows is still delivered on the same
 // connection.

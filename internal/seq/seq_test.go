@@ -103,11 +103,13 @@ func TestBatchingUnderContention(t *testing.T) {
 // A full mailbox must block Submit (backpressure), not drop or error.
 func TestBackpressureBlocks(t *testing.T) {
 	release := make(chan struct{})
+	entered := make(chan struct{}, 3) // one slot per Submit: Apply never blocks on it
 	var applied atomic.Int64
 	s := New(Config[int]{
 		Shards: 1,
 		Depth:  1,
 		Apply: func(_ int, batch []int) {
+			entered <- struct{}{}
 			<-release
 			applied.Add(int64(len(batch)))
 		},
@@ -115,13 +117,7 @@ func TestBackpressureBlocks(t *testing.T) {
 
 	// First submit becomes the combiner and parks in Apply.
 	go func() { _ = s.Submit(0, 1) }()
-	for {
-		if applied.Load() == 0 && len(s.shards[0].mbox) == 0 {
-			// combiner has drained item 1 and is inside Apply
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-entered
 
 	// Second fills the depth-1 mailbox and parks; third must block
 	// in the channel send.
