@@ -448,10 +448,10 @@ func run(cfg daemonConfig) error {
 				nCR, nAppt := 0, 0
 				for serial, cr := range ss.CRs {
 					if err := svc.RestoreCR(serial, cr.Subject, cr.Holder, cr.Revoked, cr.Reason); err != nil {
-						// A shared CIV record store survives by
-						// replication instead; skip, don't fail.
-						fmt.Fprintf(os.Stderr, "oasisd: %s: skipping CR restore: %v\n", name, err)
-						break
+						// A record store that cannot take the journal's
+						// records back (the in-process CIV cluster
+						// restarts empty) would re-issue their serials.
+						return fmt.Errorf("restore credential records for %s: %w", name, err)
 					}
 					nCR++
 				}

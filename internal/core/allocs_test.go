@@ -56,3 +56,31 @@ func TestBatcherSingleCallAllocBudget(t *testing.T) {
 		t.Errorf("batcher.do single call allocates %.0f/op, budget %d", allocs, batcherSingleAllocs)
 	}
 }
+
+// edgeCacheHitAllocs is EdgeCache.ValidateRMC's budget for a resident
+// verdict: fingerprint, topic and lookup, with no issuer call.
+const edgeCacheHitAllocs = 3
+
+func TestEdgeCacheHitAllocBudget(t *testing.T) {
+	valid := encodeValidateRespBinary(validateResponse{Valid: true})
+	calls := 0
+	stub := callerFunc(func(_, _ string, _ []byte) ([]byte, error) { calls++; return valid, nil })
+	c := NewEdgeCache(NewRemoteValidator("edge", stub, -1, nil), 16)
+	c.Attach()
+	rmc := sampleWireRMC()
+	if err := c.ValidateRMC(rmc, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.ValidateRMC(rmc, "alice"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("issuer called %d times, want 1 fill and then hits", calls)
+	}
+	t.Logf("EdgeCache.ValidateRMC hit: %.0f allocs/op", allocs)
+	if allocs > edgeCacheHitAllocs {
+		t.Errorf("EdgeCache.ValidateRMC hit allocates %.0f/op, budget %d", allocs, edgeCacheHitAllocs)
+	}
+}

@@ -23,9 +23,10 @@ type Journal interface {
 
 // RecordRestorer is the optional RecordStore extension used during crash
 // recovery: restoring a record re-creates it under its original serial
-// and advances the allocator past it. The in-memory store implements it;
-// a shared replicated CIV store does not need to (its records survive the
-// daemon by replication, not by journal).
+// and advances the allocator past it. The in-memory store implements it.
+// A store without it cannot recover from the journal: the CIV cluster
+// runs inside the daemon and restarts empty with it, so oasisd refuses
+// to boot a state directory holding records it cannot restore.
 type RecordRestorer interface {
 	RestoreRecord(serial uint64, st RecordStatus) error
 }

@@ -241,6 +241,15 @@ func (s *Service) validateRMCKeyed(principal string, r cert.RMC, key string) err
 		if status.Holder != principal {
 			return fmt.Errorf("%w: certificate issued to a different principal", ErrInvalidCredential)
 		}
+		// The record must be the one issued for this role: a record store
+		// that restarted empty re-issues old serials, and a revoked RMC
+		// carrying a re-issued serial must not borrow the new record's
+		// validity. The key renders into a stack buffer, so the check
+		// allocates nothing.
+		var kb [64]byte
+		if string(r.Role.AppendKey(kb[:0])) != status.Subject {
+			return fmt.Errorf("%w: certificate names a role its credential record does not", ErrInvalidCredential)
+		}
 		return r.Verify(s.ring, principal)
 	}
 	if key == "" {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/names"
 	"repro/internal/policy"
 	"repro/internal/rpc"
+	"repro/internal/sign"
 )
 
 func TestCallbackValidationPerUse(t *testing.T) {
@@ -386,5 +387,55 @@ func TestSingleflightCoalescesConcurrentFills(t *testing.T) {
 	}
 	if got := guard.Stats().CallbackValidations; got != 1 {
 		t.Errorf("stats.CallbackValidations = %d, want 1", got)
+	}
+}
+
+// A record store that restarts empty re-issues serials. An RMC revoked
+// before the restart carries the same serial as a record issued after
+// it, to the same principal, for another role; the record's subject,
+// not only its serial and holder, must decide the verdict.
+func TestReissuedSerialDoesNotResurrectRevokedRMC(t *testing.T) {
+	const pol = `login.user <- env ok.
+login.admin <- env ok.`
+	w := newWorld(t)
+	before := w.service("login", pol, func(c *Config) { c.Records = newMemRecords() })
+	alwaysTrue(before, "ok")
+	pid := w.session().PrincipalID()
+	old, err := before.Activate(pid, role("login", "user"), Presented{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !before.Revoke(old.Ref.Serial, "logout") {
+		t.Fatal("revoke reported no live record")
+	}
+	if err := before.validateRMC(pid, old); err == nil {
+		t.Fatal("revoked RMC validates before the restart")
+	}
+
+	secrets, retain := before.ExportKeys()
+	ring, err := sign.NewKeyRingFromSecrets(secrets, retain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := newWorld(t).service("login", pol, func(c *Config) {
+		c.Records = newMemRecords()
+		c.KeyRing = ring
+	})
+	alwaysTrue(after, "ok")
+	admin, err := after.Activate(pid, role("login", "admin"), Presented{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if admin.Ref != old.Ref {
+		t.Fatalf("fresh store issued %v, want the revoked serial %v again", admin.Ref, old.Ref)
+	}
+	if err := after.validateRMC(pid, admin); err != nil {
+		t.Fatalf("newly issued RMC: %v", err)
+	}
+	if err := after.validateRMC(pid, old); !errors.Is(err, ErrInvalidCredential) {
+		t.Fatalf("revoked RMC on a re-issued serial: err = %v, want ErrInvalidCredential", err)
+	}
+	if v := after.validateItemVerdict(rmcItem(old, pid)); v.Valid {
+		t.Fatal("validate_rmc answers valid for the revoked RMC")
 	}
 }

@@ -29,12 +29,14 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cert"
@@ -235,13 +237,15 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// endpointFunc handles one parsed request and returns the HTTP status it
-// wrote (for the outcome counters).
-type endpointFunc func(w http.ResponseWriter, r *http.Request) int
+// endpointFunc handles one request body and returns the HTTP status it
+// wrote (for the outcome counters). The body is only borrowed: it goes
+// back to a pool when the handler returns.
+type endpointFunc func(w http.ResponseWriter, body []byte) int
 
 // endpoint wraps a handler with the edge pipeline: method check,
-// admission (inflight cap), latency histogram and outcome counters. Rate
-// limiting happens inside the handlers, after the principal is parsed.
+// admission (inflight cap), one capped read of the body, latency
+// histogram and outcome counters. Rate limiting happens inside the
+// handlers, after the principal is parsed.
 func (g *Gateway) endpoint(name string, h endpointFunc) http.Handler {
 	hist := g.reg.Histogram(`gw_request_ns{endpoint="`+name+`"}`, nil)
 	codes := make(map[int]*obs.Counter)
@@ -255,7 +259,14 @@ func (g *Gateway) endpoint(name string, h endpointFunc) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		code := g.admit(w, r, func() int { return h(w, r) })
+		code := g.admit(w, r, func() int {
+			buf, err := g.readBody(w, r)
+			if err != nil {
+				return badBody(w, err)
+			}
+			defer releaseBody(buf)
+			return h(w, buf.Bytes())
+		})
 		hist.ObserveSince(start)
 		if c, ok := codes[code]; ok {
 			c.Inc()
@@ -301,20 +312,76 @@ func (g *Gateway) ratelimit(w http.ResponseWriter, key string) (ok bool, code in
 	return false, writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "rate limit exceeded for " + key})
 }
 
-// decode reads one JSON request body within the size cap.
-func (g *Gateway) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, g.maxBody)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		return err
+// maxPooledBody bounds the body buffers kept for reuse: a buffer one
+// large request grew past it is dropped rather than pinned in the pool.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads the whole request body, within the size cap, into a
+// pooled buffer; releaseBody hands it back once nothing references it.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, g.maxBody)); err != nil {
+		releaseBody(buf)
+		return nil, err
 	}
-	return nil
+	return buf, nil
 }
 
-func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) int {
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// badBody answers a body that did not decode.
+func badBody(w http.ResponseWriter, err error) int {
+	return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+}
+
+// decodeValidateRequest decodes a /validate body into req exactly as
+// json.Unmarshal would (see cert.JSONReader), in one pass and without
+// reflection: this decode is the edge's per-verdict cost. Every string
+// it stores is a copy, so body may be reused once it returns.
+func decodeValidateRequest(body []byte, req *ValidateRequest) error {
+	r := cert.NewJSONReader(body)
+	if !r.Null() && r.Open('{') {
+		for r.More('}') {
+			switch key := r.Key(); {
+			case cert.KeyIs(key, "principal"):
+				r.Str(&req.Principal)
+			case cert.KeyIs(key, "rmc"):
+				if r.Null() {
+					req.RMC = nil
+					break
+				}
+				if req.RMC == nil {
+					req.RMC = new(cert.RMC)
+				}
+				r.RMC(req.RMC)
+			case cert.KeyIs(key, "appointment"):
+				// Off the hot path, so encoding/json decodes it, into
+				// the certificate an earlier repeat of the key left.
+				appt := req.Appointment
+				if raw := r.Raw(); raw != nil && json.Unmarshal(raw, &appt) != nil {
+					r.Fail()
+				}
+				req.Appointment = appt
+			default:
+				r.Raw()
+			}
+		}
+	}
+	r.End()
+	return r.Err()
+}
+
+func (g *Gateway) handleValidate(w http.ResponseWriter, body []byte) int {
 	var req ValidateRequest
-	if err := g.decode(w, r, &req); err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if err := decodeValidateRequest(body, &req); err != nil {
+		return badBody(w, err)
 	}
 	if (req.RMC == nil) == (req.Appointment == nil) {
 		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "exactly one of rmc or appointment is required"})
@@ -347,10 +414,10 @@ func (g *Gateway) handleValidate(w http.ResponseWriter, r *http.Request) int {
 	}
 }
 
-func (g *Gateway) handleActivate(w http.ResponseWriter, r *http.Request) int {
+func (g *Gateway) handleActivate(w http.ResponseWriter, body []byte) int {
 	var req ActivateRequest
-	if err := g.decode(w, r, &req); err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if err := json.Unmarshal(body, &req); err != nil {
+		return badBody(w, err)
 	}
 	if req.Service == "" || req.Principal == "" {
 		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "service and principal are required"})
@@ -361,10 +428,10 @@ func (g *Gateway) handleActivate(w http.ResponseWriter, r *http.Request) int {
 	return g.forward(w, req.Service, "activate", req.RemoteActivateRequest)
 }
 
-func (g *Gateway) handleAppoint(w http.ResponseWriter, r *http.Request) int {
+func (g *Gateway) handleAppoint(w http.ResponseWriter, body []byte) int {
 	var req AppointRequest
-	if err := g.decode(w, r, &req); err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if err := json.Unmarshal(body, &req); err != nil {
+		return badBody(w, err)
 	}
 	if req.Service == "" || req.Principal == "" {
 		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "service and principal are required"})
@@ -375,10 +442,10 @@ func (g *Gateway) handleAppoint(w http.ResponseWriter, r *http.Request) int {
 	return g.forward(w, req.Service, "appoint", req.RemoteAppointRequest)
 }
 
-func (g *Gateway) handleRevoke(w http.ResponseWriter, r *http.Request) int {
+func (g *Gateway) handleRevoke(w http.ResponseWriter, body []byte) int {
 	var req RevokeRequest
-	if err := g.decode(w, r, &req); err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if err := json.Unmarshal(body, &req); err != nil {
+		return badBody(w, err)
 	}
 	if req.Service == "" {
 		return writeJSON(w, http.StatusBadRequest, errorResponse{Error: "service is required"})

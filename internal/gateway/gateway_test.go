@@ -222,6 +222,54 @@ func TestValidateBadRequests(t *testing.T) {
 	}
 }
 
+// postRaw sends body as is and returns the status code.
+func (e *edge) postRaw(t *testing.T, path string, body []byte) int {
+	t.Helper()
+	resp, err := e.client.Post(e.url+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestBodyIsOneJSONValue: every POST endpoint reads its body once,
+// within the size cap, and refuses anything but whitespace after the
+// JSON value.
+func TestBodyIsOneJSONValue(t *testing.T) {
+	b := startBackend(t, `login.user <- env ok.`)
+	e := startEdge(t, b, func(c *Config) { c.MaxBodyBytes = 4096 })
+	rmc := activateAt(t, b, "alice-key")
+	areq := ActivateRequest{Service: "login"}
+	areq.Principal = "bob-key"
+	areq.Role = names.MustRole(names.MustRoleName("login", "user", 0))
+	preq := AppointRequest{Service: "login"}
+	preq.Principal, preq.Kind, preq.Holder = "alice-key", "badge", "carol-key"
+	for _, c := range []struct {
+		path string
+		req  any
+	}{
+		{"/validate", ValidateRequest{Principal: "alice-key", RMC: &rmc}},
+		{"/activate", areq},
+		{"/appoint", preq},
+		{"/revoke", RevokeRequest{Service: "login", Serial: 999}},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := e.postRaw(t, c.path, append(body, " \r\n\t"...)); code == http.StatusBadRequest {
+			t.Errorf("%s with trailing whitespace: status 400", c.path)
+		}
+		if code := e.postRaw(t, c.path, append(body, ` {}`...)); code != http.StatusBadRequest {
+			t.Errorf("%s with a second value after the body: status %d, want 400", c.path, code)
+		}
+		if code := e.postRaw(t, c.path, append(body, bytes.Repeat([]byte(" "), 4096)...)); code != http.StatusBadRequest {
+			t.Errorf("%s over the body cap: status %d, want 400", c.path, code)
+		}
+	}
+}
+
 // TestValidateCoalescesIntoBatches holds the backend's two allowed
 // in-flight wire calls open while more HTTP validations arrive; when
 // released, the parked herd must depart as validate_batch flights, not

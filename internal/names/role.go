@@ -128,36 +128,41 @@ func (r Role) Unify(g Role, s Substitution) (Substitution, bool) {
 }
 
 // String renders the role instance in policy syntax. Built in a single
-// buffer rather than Sprintf+Join: Key (below) is computed on every
+// stack buffer rather than Sprintf+Join: Key (below) is computed on every
 // activation and credential-set construction, so this sits on the hot
 // path for million-principal login storms.
 func (r Role) String() string {
-	var b strings.Builder
-	b.Grow(len(r.Name.Service) + 1 + len(r.Name.Name) + 2 + 18*len(r.Params))
-	b.WriteString(r.Name.Service)
-	b.WriteByte('.')
-	b.WriteString(r.Name.Name)
+	var buf [64]byte
+	return string(r.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the String rendering to dst. Validation compares a
+// presented role against the stored credential-record subject with it,
+// rendering into a stack buffer so the comparison allocates nothing.
+func (r Role) AppendKey(dst []byte) []byte {
+	dst = append(dst, r.Name.Service...)
+	dst = append(dst, '.')
+	dst = append(dst, r.Name.Name...)
 	if len(r.Params) > 0 {
-		b.WriteByte('(')
+		dst = append(dst, '(')
 		for i, p := range r.Params {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
 			switch p.Kind {
 			case KindVar, KindAtom:
-				b.WriteString(p.Sym)
+				dst = append(dst, p.Sym...)
 			case KindString:
-				b.WriteString(strconv.Quote(p.Sym))
+				dst = strconv.AppendQuote(dst, p.Sym)
 			case KindInt:
-				var tmp [20]byte
-				b.Write(strconv.AppendInt(tmp[:0], p.Num, 10))
+				dst = strconv.AppendInt(dst, p.Num, 10)
 			default:
-				b.WriteString("<invalid>")
+				dst = append(dst, "<invalid>"...)
 			}
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	}
-	return b.String()
+	return dst
 }
 
 // Key returns a canonical map key for a ground role instance.
