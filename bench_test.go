@@ -13,10 +13,8 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/cert"
-	"repro/internal/civ"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/domain"
 	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/names"
@@ -346,49 +344,6 @@ func BenchmarkRevocationActiveVsPolling(b *testing.B) {
 		}
 		b.ReportMetric(float64(row.ActiveLatency.Nanoseconds()), "active-ns")
 		b.ReportMetric(float64(row.PollingLatency.Nanoseconds()), "polling-ns")
-	}
-}
-
-// Ablation: cost of delegating credential records to a replicated CIV
-// cluster (paper ref [10]) versus service-local records, by replica count.
-func BenchmarkCIVRecordsActivate(b *testing.B) {
-	for _, replicas := range []int{0, 1, 3, 5} {
-		name := fmt.Sprintf("replicas=%d", replicas)
-		if replicas == 0 {
-			name = "local"
-		}
-		b.Run(name, func(b *testing.B) {
-			w := experiments.NewWorld()
-			defer w.Close()
-			cfg := core.Config{
-				Name:   "login",
-				Policy: MustParsePolicy(`login.user <- env ok.`),
-				Broker: w.Broker,
-				Caller: w.Bus,
-				Clock:  w.Clock,
-			}
-			if replicas > 0 {
-				cluster, err := civ.NewCluster(replicas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Records = domain.NewCIVRecords(cluster)
-			}
-			svc, err := core.NewService(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close()
-			experiments.AlwaysTrue(svc, "ok")
-			sess := experiments.NewSession()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.Activate(sess.PrincipalID(),
-					experiments.Role("login", "user"), core.Presented{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -45,11 +45,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/civ"
 	"repro/internal/clock"
 	"repro/internal/cmdutil"
 	"repro/internal/core"
-	"repro/internal/domain"
 	"repro/internal/durable"
 	"repro/internal/event"
 	"repro/internal/gateway"
@@ -101,7 +99,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":7070", "listen address")
 		facts      = flag.String("facts", "", "facts file (relation arg1 arg2 per line)")
-		civCount   = flag.Int("civ", 0, "share a replicated CIV record store of N replicas across hosted services (0 = service-local records)")
 		node       = flag.String("node", "", "node name for cross-process event relaying (default: the listen address)")
 		revalidate = flag.Duration("revalidate", 0, "re-confirm cached foreign certificates after this age (0 = cache until revoked)")
 		batchWin   = flag.Duration("batch-window", 0, "coalesce concurrent callback validations per issuer for up to this long (0 = default window, negative = disable batching)")
@@ -134,7 +131,7 @@ func main() {
 	}
 
 	cfg := daemonConfig{
-		addr: *addr, factsPath: *facts, civCount: *civCount, node: *node,
+		addr: *addr, factsPath: *facts, node: *node,
 		revalidate: *revalidate, staleGrace: *staleGrace, heartbeat: *heartbeat,
 		batchWindow: *batchWin,
 		obsAddr:     *obsAddr, httpAddr: *httpAddr, stateDir: *stateDir,
@@ -153,7 +150,6 @@ func main() {
 type daemonConfig struct {
 	addr        string
 	factsPath   string
-	civCount    int
 	node        string
 	revalidate  time.Duration
 	staleGrace  time.Duration
@@ -193,7 +189,7 @@ type daemonConfig struct {
 }
 
 func run(cfg daemonConfig) error {
-	addr, factsPath, civCount, node := cfg.addr, cfg.factsPath, cfg.civCount, cfg.node
+	addr, factsPath, node := cfg.addr, cfg.factsPath, cfg.node
 	svcs, peers, relayTo := cfg.svcs, cfg.peers, cfg.relayTo
 	if cfg.follow != "" {
 		// A follower's services come from the leader's journal, and its
@@ -207,15 +203,6 @@ func run(cfg daemonConfig) error {
 		}
 	} else if len(svcs) == 0 {
 		return fmt.Errorf("at least one -svc name=policyfile is required (or -follow a leader)")
-	}
-	var records core.RecordStore
-	if civCount > 0 {
-		cluster, err := civ.NewCluster(civCount)
-		if err != nil {
-			return err
-		}
-		records = domain.NewCIVRecords(cluster)
-		fmt.Printf("credential records on a %d-replica CIV cluster\n", civCount)
 	}
 
 	// Observability: the registry and tracer always exist (recording is
@@ -407,7 +394,6 @@ func run(cfg daemonConfig) error {
 			Caller:           caller,
 			CacheValidations: true,
 			CacheMaxEntries:  cfg.ecrCacheMax,
-			Records:          records,
 			RevalidateAfter:  cfg.revalidate,
 			StaleGrace:       cfg.staleGrace,
 			BatchWindow:      cfg.batchWindow,
@@ -448,9 +434,6 @@ func run(cfg daemonConfig) error {
 				nCR, nAppt := 0, 0
 				for serial, cr := range ss.CRs {
 					if err := svc.RestoreCR(serial, cr.Subject, cr.Holder, cr.Revoked, cr.Reason); err != nil {
-						// A record store that cannot take the journal's
-						// records back (the in-process CIV cluster
-						// restarts empty) would re-issue their serials.
 						return fmt.Errorf("restore credential records for %s: %w", name, err)
 					}
 					nCR++

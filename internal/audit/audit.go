@@ -8,7 +8,6 @@ package audit
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -177,20 +176,6 @@ func (a *Authority) SetRepudiating(r bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.repudiate = r
-}
-
-// MarshalCertificate encodes an audit certificate for exchange between
-// strangers (Sect. 6: "such certificates might be exchanged and validated
-// before a principal uses a previously unknown service").
-func MarshalCertificate(c Certificate) ([]byte, error) { return json.Marshal(c) }
-
-// UnmarshalCertificate decodes an exchanged audit certificate.
-func UnmarshalCertificate(b []byte) (Certificate, error) {
-	var c Certificate
-	if err := json.Unmarshal(b, &c); err != nil {
-		return Certificate{}, fmt.Errorf("decode audit certificate: %w", err)
-	}
-	return c, nil
 }
 
 // Ledger accumulates the audit certificates held by parties (each party

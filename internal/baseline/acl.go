@@ -13,11 +13,8 @@ import "sync"
 // Right is an access right on an object.
 type Right string
 
-// Common rights.
-const (
-	RightRead  Right = "read"
-	RightWrite Right = "write"
-)
+// RightRead is the right the experiments grant and check.
+const RightRead Right = "read"
 
 // ACLService is the pre-RBAC baseline: per-object access control lists.
 // The paper's motivation: "The detailed management of large numbers of

@@ -15,7 +15,7 @@ func TestACLGrantCheckRevoke(t *testing.T) {
 	if !s.Check("record_p1", "dr_a", RightRead) {
 		t.Error("granted access denied")
 	}
-	if s.Check("record_p1", "dr_a", RightWrite) {
+	if s.Check("record_p1", "dr_a", Right("write")) {
 		t.Error("ungranted right allowed")
 	}
 	if s.Check("record_p2", "dr_a", RightRead) {

@@ -274,13 +274,10 @@ func appendTerm(dst []byte, t names.Term) []byte {
 	}
 }
 
-// MarshalRMC encodes an RMC for the wire (JSON: readable fields, protected
-// by the signature rather than the encoding, as Sect. 5 notes — "the
-// fields of appointment certificates (and RMCs) are readable, although
-// protected from tampering and theft").
-func MarshalRMC(r RMC) ([]byte, error) { return json.Marshal(r) }
-
-// UnmarshalRMC decodes an RMC from the wire.
+// UnmarshalRMC decodes an RMC from its JSON wire form: readable fields,
+// protected by the signature rather than the encoding, as Sect. 5 notes —
+// "the fields of appointment certificates (and RMCs) are readable,
+// although protected from tampering and theft".
 func UnmarshalRMC(b []byte) (RMC, error) {
 	var r RMC
 	if err := json.Unmarshal(b, &r); err != nil {

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -136,7 +137,7 @@ func TestRMCMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MarshalRMC(r)
+	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestRMCBinaryRoundTrip(t *testing.T) {
 // that crossed the wire in either form must verify identically.
 func TestRMCBinaryMatchesJSON(t *testing.T) {
 	want := sampleRMC()
-	jsonBytes, err := MarshalRMC(want)
+	jsonBytes, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cert
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/names"
@@ -24,11 +25,11 @@ func TestInternedRMCBinaryEquivalence(t *testing.T) {
 	plain := sampleRMC()
 	interned := internRMC(sampleRMC())
 
-	jp, err := MarshalRMC(plain)
+	jp, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ji, err := MarshalRMC(interned)
+	ji, err := json.Marshal(interned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,3 +84,57 @@ func TestEdgeCacheHitAllocBudget(t *testing.T) {
 		t.Errorf("EdgeCache.ValidateRMC hit allocates %.0f/op, budget %d", allocs, edgeCacheHitAllocs)
 	}
 }
+
+// activateAllocs is Service.Activate's budget for an initial role with no
+// prerequisite and no membership watch: rule evaluation, the sequenced
+// issue (serial, credential record, table insert) and RMC signing.
+const activateAllocs = 12
+
+// sequencedRevokeAllocs is Service.Revoke's budget for one live record:
+// the sequenced revoke, table removal and the revocation event.
+const sequencedRevokeAllocs = 7
+
+func TestActivateAllocBudget(t *testing.T) {
+	w := newWorld(t)
+	login := w.service("login", `login.user <- env ok.`)
+	alwaysTrue(login, "ok")
+	pid := w.session().PrincipalID()
+	want := role("login", "user")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := login.Activate(pid, want, Presented{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Activate: %.0f allocs/op", allocs)
+	if allocs > activateAllocs {
+		t.Errorf("Activate allocates %.0f/op, budget %d", allocs, activateAllocs)
+	}
+}
+
+func TestSequencedRevokeAllocBudget(t *testing.T) {
+	const runs = 200
+	w := newWorld(t)
+	login := w.service("login", `login.user <- env ok.`)
+	alwaysTrue(login, "ok")
+	pid := w.session().PrincipalID()
+	// AllocsPerRun calls the function once more to warm up.
+	serials := make([]uint64, 0, runs+1)
+	for i := 0; i <= runs; i++ {
+		rmc, err := login.Activate(pid, role("login", "user"), Presented{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serials = append(serials, rmc.Ref.Serial)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !login.Revoke(serials[next], "logout") {
+			t.Fatalf("revoke %d reported no live record", serials[next])
+		}
+		next++
+	})
+	t.Logf("sequenced Revoke: %.0f allocs/op", allocs)
+	if allocs > sequencedRevokeAllocs {
+		t.Errorf("sequenced Revoke allocates %.0f/op, budget %d", allocs, sequencedRevokeAllocs)
+	}
+}

@@ -14,8 +14,7 @@ func (s *Service) EmitHeartbeats() int {
 
 	subjects := make([]string, 0, len(serials))
 	for _, serial := range serials {
-		status, err := s.records.Status(serial)
-		if err != nil || !status.Exists || status.Revoked {
+		if status := s.records.Status(serial); !status.Exists || status.Revoked {
 			continue
 		}
 		subjects = append(subjects, cert.CRR{Issuer: s.name, Serial: serial}.String())

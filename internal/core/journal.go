@@ -21,16 +21,6 @@ type Journal interface {
 	AppendGroup(recs []durable.Record, wait bool) error
 }
 
-// RecordRestorer is the optional RecordStore extension used during crash
-// recovery: restoring a record re-creates it under its original serial
-// and advances the allocator past it. The in-memory store implements it.
-// A store without it cannot recover from the journal: the CIV cluster
-// runs inside the daemon and restarts empty with it, so oasisd refuses
-// to boot a state directory holding records it cannot restore.
-type RecordRestorer interface {
-	RestoreRecord(serial uint64, st RecordStatus) error
-}
-
 // ExportKeys returns the service's retained signing secrets (oldest
 // first) and the retention window, for journaling. Whoever holds the
 // export holds the ability to forge this service's certificates; it goes
@@ -46,11 +36,7 @@ func (s *Service) ExportKeys() ([]sign.Secret, int) { return s.ring.Export() }
 // Live restored records are indexed by holder so EndSession (logout) and
 // Deactivate can still revoke them.
 func (s *Service) RestoreCR(serial uint64, subject, holder string, revoked bool, reason string) error {
-	rr, ok := s.records.(RecordRestorer)
-	if !ok {
-		return fmt.Errorf("service %s: record store %T does not support restore", s.name, s.records)
-	}
-	if err := rr.RestoreRecord(serial, RecordStatus{
+	if err := s.records.RestoreRecord(serial, recordStatus{
 		Exists:  true,
 		Revoked: revoked,
 		Subject: subject,
@@ -83,8 +69,9 @@ func (s *Service) RestoreAppointment(a cert.AppointmentCertificate, revoked bool
 	}
 }
 
-// RestoreRecord implements RecordRestorer for the in-memory store.
-func (m *memRecords) RestoreRecord(serial uint64, st RecordStatus) error {
+// RestoreRecord re-creates a record under its original serial during
+// crash recovery and advances the allocator past it.
+func (m *memRecords) RestoreRecord(serial uint64, st recordStatus) error {
 	if serial == 0 {
 		return fmt.Errorf("restore record: serial 0")
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,6 +11,34 @@ import (
 	"repro/internal/event"
 	"repro/internal/rpc"
 )
+
+// failAll is a network partition between the caller and service: every
+// call to it fails until SetFault(nil) heals the partition.
+func failAll(service string) rpc.Fault {
+	return func(svc, method string) error {
+		if svc != service {
+			return nil
+		}
+		return fmt.Errorf("injected partition: %s.%s", svc, method)
+	}
+}
+
+// failNTimes fails the first n calls to service, then passes everything.
+func failNTimes(service string, n int) rpc.Fault {
+	var mu sync.Mutex
+	return func(svc, method string) error {
+		if svc != service {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if n > 0 {
+			n--
+			return fmt.Errorf("injected fault: %s.%s", svc, method)
+		}
+		return nil
+	}
+}
 
 // resilientWorld models the cross-process deployment shape for fault
 // injection: issuer (login) and consumer (guard) live on separate event
@@ -108,7 +138,7 @@ func TestResilienceRetryRecoversTransientValidateFault(t *testing.T) {
 	w := newResilientWorld(t)
 	principal, creds, _ := w.enter(t)
 
-	w.bus.SetFault(rpc.FailNTimes("login", 2))
+	w.bus.SetFault(failNTimes("login", 2))
 	before := w.bus.Calls()
 	if _, err := w.guard.Invoke(principal, "enter", nil, creds); err != nil {
 		t.Fatalf("transient fault not recovered by retry: %v", err)
@@ -131,7 +161,7 @@ func TestResilienceBreakerOpensOnPersistentFailure(t *testing.T) {
 	// Fresh (uncached) certificate + partitioned issuer: validation
 	// fails, and after FailureThreshold transport failures the breaker
 	// opens so later presentations fail fast without touching the wire.
-	w.bus.SetFault(rpc.FailAll("login"))
+	w.bus.SetFault(failAll("login"))
 	if _, err := w.guard.Invoke(principal, "enter", nil, creds); !errors.Is(err, ErrInvalidCredential) {
 		t.Fatalf("partitioned validate err = %v", err)
 	}
@@ -169,7 +199,7 @@ func TestResilienceStaleGraceServesCachedCertDuringPartition(t *testing.T) {
 	// Partition the issuer and cross the revalidation deadline: the
 	// re-confirmation fails with a transport error, so the previously
 	// confirmed verdict is served degraded inside the grace window.
-	w.bus.SetFault(rpc.FailAll("login"))
+	w.bus.SetFault(failAll("login"))
 	w.clk.Advance(testRevalidateAfter + time.Second)
 	if _, err := w.guard.Invoke(principal, "enter", nil, creds); err != nil {
 		t.Fatalf("degraded validation denied inside the grace window: %v", err)
@@ -185,7 +215,7 @@ func TestResilienceStaleGraceExpiresIntoDenial(t *testing.T) {
 	if _, err := w.guard.Invoke(principal, "enter", nil, creds); err != nil {
 		t.Fatal(err)
 	}
-	w.bus.SetFault(rpc.FailAll("login"))
+	w.bus.SetFault(failAll("login"))
 	// Beyond RevalidateAfter + StaleGrace the degraded path must close.
 	w.clk.Advance(testRevalidateAfter + testStaleGrace + time.Second)
 	if _, err := w.guard.Invoke(principal, "enter", nil, creds); !errors.Is(err, ErrInvalidCredential) {
@@ -213,7 +243,7 @@ func TestResilienceHeartbeatTimeoutCollapsesDegradedCert(t *testing.T) {
 
 	// Partition; within the heartbeat deadline, degraded validation
 	// still answers.
-	w.bus.SetFault(rpc.FailAll("login"))
+	w.bus.SetFault(failAll("login"))
 	w.clk.Advance(testRevalidateAfter + 30*time.Second) // 1m30s silent < 2m deadline
 	if dead := w.hb.Sweep(); len(dead) != 0 {
 		t.Fatalf("Sweep before deadline = %v", dead)
@@ -280,7 +310,7 @@ func TestResilienceNoGraceWithoutPriorConfirmation(t *testing.T) {
 	w := newResilientWorld(t)
 	principal, creds, _ := w.enter(t)
 	// Never validated before the partition: nothing to degrade to.
-	w.bus.SetFault(rpc.FailAll("login"))
+	w.bus.SetFault(failAll("login"))
 	if _, err := w.guard.Invoke(principal, "enter", nil, creds); !errors.Is(err, ErrInvalidCredential) {
 		t.Fatalf("unconfirmed cert accepted during partition: %v", err)
 	}

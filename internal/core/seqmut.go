@@ -48,10 +48,6 @@ type mutOp struct {
 	cr      *CredRecord
 	appt    cert.AppointmentCertificate
 	via     event.Event // crRevoke: triggering event (zero for cascade roots)
-	// preIssued marks a crIssue whose record-store entry already exists
-	// (the store lacks the SerialIssuer extension, so Activate had to
-	// call Issue before submitting).
-	preIssued bool
 	// replicated marks an op applied from a replication stream: state
 	// mutates, but nothing is journaled (the leader already did) and
 	// events are returned to the follower rather than published here.
@@ -133,7 +129,7 @@ func (s *Service) applySeqBatch(shard int, ops []*mutOp) {
 
 	// Phase 1: state. Credential-table mutations are deferred into one
 	// applyBatch call under a single serial-shard lock hold; everything
-	// else (record store, appointments) applies per op in order.
+	// else (record table, appointments) applies per op in order.
 	crb := sc.crMuts[:0]
 	for _, op := range ops {
 		crb = s.applyMutState(op, crb)
@@ -210,7 +206,7 @@ func (s *Service) applyMutState(op *mutOp, crb []crMut) []crMut {
 			// A revoked tombstone already present (stream replay
 			// overlap after a reset) must not be resurrected by a
 			// replayed issue.
-			if st, serr := s.records.Status(op.serial); serr == nil && st.Exists && st.Revoked {
+			if st := s.records.Status(op.serial); st.Exists && st.Revoked {
 				op.did = true
 				return crb
 			}
@@ -218,14 +214,7 @@ func (s *Service) applyMutState(op *mutOp, crb []crMut) []crMut {
 			op.did = op.err == nil
 			return crb
 		}
-		if !op.preIssued {
-			if si, ok := s.records.(SerialIssuer); ok {
-				si.IssueAt(op.serial, op.subject, op.holder)
-			} else {
-				op.err = fmt.Errorf("service %s: record store %T cannot issue at serial", s.name, s.records)
-				return crb
-			}
-		}
+		s.records.IssueAt(op.serial, op.subject, op.holder)
 		if crb != nil {
 			crb = append(crb, crMut{insert: op.cr})
 		} else {
@@ -239,16 +228,14 @@ func (s *Service) applyMutState(op *mutOp, crb []crMut) []crMut {
 		op.did = true
 
 	case mutCRRevoke:
-		wasLive, err := s.records.Revoke(op.serial, op.reason)
-		if err != nil || !wasLive {
-			// Already revoked, unknown, or the record store is
-			// unreachable (validation also fails then — the safe
-			// direction). A replicated revoke must still converge: the
-			// leader journaled it, so if this store has never seen the
-			// serial, install a tombstone, and always surface the event
-			// so downstream caches drop the credential.
+		if !s.records.Revoke(op.serial, op.reason) {
+			// Already revoked, or unknown. A replicated revoke must
+			// still converge: the leader journaled it, so if this table
+			// has never seen the serial, install a tombstone, and always
+			// surface the event so downstream caches drop the
+			// credential.
 			if op.replicated {
-				if st, serr := s.records.Status(op.serial); serr == nil && !st.Exists {
+				if !s.records.Status(op.serial).Exists {
 					op.err = s.RestoreCR(op.serial, "", "", true, op.reason)
 				}
 				s.buildRevokeEvent(op)

@@ -99,11 +99,6 @@ type Config struct {
 	// collapses dependent roles, bounding the stale-grace window by the
 	// heartbeat deadline (Fig. 5 fail-safe stance).
 	Heartbeats *event.HeartbeatMonitor
-	// Records holds credential-record validity state. Nil selects
-	// service-local memory; a domain may instead share its replicated
-	// CIV service across services (paper ref [10]; see
-	// domain.CIVRecords).
-	Records RecordStore
 	// Journal, when set, receives every credential-record and
 	// appointment issue/revoke so durable state (internal/durable) can
 	// replay them after a crash. Nil disables journaling.
@@ -226,7 +221,7 @@ type Service struct {
 	readOnly         bool
 	hb               *event.HeartbeatMonitor
 
-	records RecordStore
+	records *memRecords
 	journal Journal
 
 	crs    crTable
@@ -271,8 +266,8 @@ type Service struct {
 
 // CredRecord is the service-local monitoring state of one issued RMC (the
 // CR of Figs. 1, 2 and 5): the membership dependencies whose failure must
-// deactivate the role. Validity itself lives in the RecordStore, which may
-// be service-local or a shared replicated CIV service.
+// deactivate the role. Validity itself lives in the service's record
+// table (memRecords).
 type CredRecord struct {
 	Serial    uint64
 	Principal string
@@ -333,10 +328,6 @@ func NewService(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service %s: %w", cfg.Name, err)
 		}
 	}
-	records := cfg.Records
-	if records == nil {
-		records = newMemRecords()
-	}
 	authIndex := make(map[string][]policy.AuthRule)
 	for _, r := range cfg.Policy.Auth {
 		authIndex[r.Method] = append(authIndex[r.Method], r)
@@ -347,7 +338,7 @@ func NewService(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		name:             cfg.Name,
-		records:          records,
+		records:          newMemRecords(),
 		journal:          cfg.Journal,
 		pol:              cfg.Policy,
 		authIndex:        authIndex,
@@ -482,22 +473,11 @@ func (s *Service) Activate(principal string, requested names.Role, p Presented) 
 	subject := ground.Key()
 	// Allocate the serial up front (it is signed into the RMC and
 	// names the journal record), then submit the issue to the shard's
-	// sequencer: the record store entry, credential-table insert and
-	// journal append all happen inside the ordered apply loop. Stores
-	// without the SerialIssuer extension issue eagerly instead and the
-	// apply loop only publishes the table entry.
+	// sequencer: the record, credential-table insert and journal append
+	// all happen inside the ordered apply loop.
+	serial := s.records.NextSerial()
 	op := newMutOp(mutCRIssue)
-	op.subject, op.holder = subject, principal
-	if si, ok := s.records.(SerialIssuer); ok {
-		op.serial = si.NextSerial()
-	} else {
-		serial, err := s.records.Issue(subject, principal)
-		if err != nil {
-			return cert.RMC{}, wrap(s.name, err)
-		}
-		op.serial, op.preIssued = serial, true
-	}
-	serial := op.serial
+	op.serial, op.subject, op.holder = serial, subject, principal
 	cr := &CredRecord{Serial: serial, Principal: principal, Role: ground}
 	op.cr = cr
 	s.runMut(op)
@@ -672,7 +652,7 @@ func (s *Service) deactivate(serial uint64, reason string) bool {
 }
 
 // deactivateCascade reports whether this call performed the revocation:
-// the RecordStore's revoke-once semantics make concurrent deactivations of
+// the record table's revoke-once semantics make concurrent deactivations of
 // the same serial (logout racing revocation) resolve to exactly one
 // winner. via is the revocation event that triggered this deactivation
 // (zero for cascade roots); its correlation id and depth are propagated on
@@ -870,8 +850,7 @@ func (s *Service) ActiveRoles(principal string) []names.Role {
 		if cr == nil {
 			continue
 		}
-		status, err := s.records.Status(serial)
-		if err == nil && status.Exists && !status.Revoked {
+		if status := s.records.Status(serial); status.Exists && !status.Revoked {
 			out = append(out, cr.Role)
 		}
 	}
@@ -880,8 +859,8 @@ func (s *Service) ActiveRoles(principal string) []names.Role {
 
 // CRStatus reports whether a credential record exists and is valid.
 func (s *Service) CRStatus(serial uint64) (valid, exists bool) {
-	status, err := s.records.Status(serial)
-	if err != nil || !status.Exists {
+	status := s.records.Status(serial)
+	if !status.Exists {
 		return false, false
 	}
 	return !status.Revoked, true

@@ -24,7 +24,7 @@ var principalSeed = maphash.MakeSeed()
 // Lock discipline: a serial shard lock and a principal shard lock are
 // never held together — insert and remove touch them in sequence, and
 // every reader tolerates the brief window in which a record is present in
-// one but not the other (validity always comes from the RecordStore, not
+// one but not the other (validity always comes from memRecords, not
 // from table presence).
 type crTable struct {
 	serials    [crShards]serialShard

@@ -228,10 +228,7 @@ func (s *Service) validateRMC(principal string, r cert.RMC) error {
 func (s *Service) validateRMCKeyed(principal string, r cert.RMC, key string) error {
 	if r.Ref.Issuer == s.name {
 		s.stats.localValidations.Add(1)
-		status, err := s.records.Status(r.Ref.Serial)
-		if err != nil {
-			return fmt.Errorf("record store: %w", err)
-		}
+		status := s.records.Status(r.Ref.Serial)
 		if !status.Exists {
 			return ErrUnknownCR
 		}
@@ -241,8 +238,10 @@ func (s *Service) validateRMCKeyed(principal string, r cert.RMC, key string) err
 		if status.Holder != principal {
 			return fmt.Errorf("%w: certificate issued to a different principal", ErrInvalidCredential)
 		}
-		// The record must be the one issued for this role: a record store
-		// that restarted empty re-issues old serials, and a revoked RMC
+		// The record must be the one issued for this role. Holder and
+		// signature alone do not say so: a key ring restored without its
+		// records (a journal cut short, or keys carried over by hand)
+		// re-issues old serials under the same keys, and a revoked RMC
 		// carrying a re-issued serial must not borrow the new record's
 		// validity. The key renders into a stack buffer, so the check
 		// allocates nothing.

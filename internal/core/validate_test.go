@@ -131,7 +131,7 @@ func TestValidationTransportFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.AddRMC(rmc)
-	w.bus.SetFault(rpc.FailNTimes("login", 1))
+	w.bus.SetFault(failNTimes("login", 1))
 	if _, err := guard.Invoke(sess.PrincipalID(), "enter", nil, sess.Credentials()); !errors.Is(err, ErrInvalidCredential) {
 		t.Errorf("faulted callback treated as valid: %v", err)
 	}
@@ -390,15 +390,15 @@ func TestSingleflightCoalescesConcurrentFills(t *testing.T) {
 	}
 }
 
-// A record store that restarts empty re-issues serials. An RMC revoked
-// before the restart carries the same serial as a record issued after
-// it, to the same principal, for another role; the record's subject,
-// not only its serial and holder, must decide the verdict.
+// A key ring restored without its records re-issues serials. An RMC
+// revoked before the restart carries the same serial as a record issued
+// after it, to the same principal, for another role; the record's
+// subject, not only its serial and holder, must decide the verdict.
 func TestReissuedSerialDoesNotResurrectRevokedRMC(t *testing.T) {
 	const pol = `login.user <- env ok.
 login.admin <- env ok.`
 	w := newWorld(t)
-	before := w.service("login", pol, func(c *Config) { c.Records = newMemRecords() })
+	before := w.service("login", pol)
 	alwaysTrue(before, "ok")
 	pid := w.session().PrincipalID()
 	old, err := before.Activate(pid, role("login", "user"), Presented{})
@@ -417,10 +417,7 @@ login.admin <- env ok.`
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := newWorld(t).service("login", pol, func(c *Config) {
-		c.Records = newMemRecords()
-		c.KeyRing = ring
-	})
+	after := newWorld(t).service("login", pol, func(c *Config) { c.KeyRing = ring })
 	alwaysTrue(after, "ok")
 	admin, err := after.Activate(pid, role("login", "admin"), Presented{})
 	if err != nil {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"repro/internal/trust"
 )
 
 // These tests pin the qualitative shapes recorded in EXPERIMENTS.md: if a
@@ -236,4 +238,28 @@ func TestTrustThroughput(t *testing.T) {
 	if row.PerDecide <= 0 {
 		t.Errorf("PerDecide = %v", row.PerDecide)
 	}
+}
+
+// TrustThroughputRow measures trust-decision cost for bench E8.
+type TrustThroughputRow struct {
+	HistoryLen int
+	PerDecide  time.Duration
+}
+
+// RunTrustThroughput times Decide over a fixed history.
+func RunTrustThroughput(historyLen, iters int) (TrustThroughputRow, error) {
+	sim, err := trust.NewSimulation(11)
+	if err != nil {
+		return TrustThroughputRow{}, err
+	}
+	engine := trust.NewEngine(trust.DomainAwarePolicy(0.1), sim.Directory.Validate)
+	hist := sim.HonestHistory("alice", historyLen, 0.9)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		engine.Decide("alice", hist)
+	}
+	return TrustThroughputRow{
+		HistoryLen: historyLen,
+		PerDecide:  time.Since(start) / time.Duration(iters),
+	}, nil
 }

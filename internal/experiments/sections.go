@@ -407,29 +407,5 @@ func RunSoak(doctors, patients, ops int, seed int64) (SoakRow, error) {
 	return row, nil
 }
 
-// TrustThroughputRow measures trust-decision cost for bench E8.
-type TrustThroughputRow struct {
-	HistoryLen int
-	PerDecide  time.Duration
-}
-
-// RunTrustThroughput times Decide over a fixed history.
-func RunTrustThroughput(historyLen, iters int) (TrustThroughputRow, error) {
-	sim, err := trust.NewSimulation(11)
-	if err != nil {
-		return TrustThroughputRow{}, err
-	}
-	engine := trust.NewEngine(trust.DomainAwarePolicy(0.1), sim.Directory.Validate)
-	hist := sim.HonestHistory("alice", historyLen, 0.9)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		engine.Decide("alice", hist)
-	}
-	return TrustThroughputRow{
-		HistoryLen: historyLen,
-		PerDecide:  time.Since(start) / time.Duration(iters),
-	}, nil
-}
-
 // auditUnused silences the import when builds prune code paths.
 var _ = audit.OutcomeFulfilled

@@ -49,20 +49,6 @@ func (r RoleName) String() string {
 	return fmt.Sprintf("%s.%s/%d", r.Service, r.Name, r.Arity)
 }
 
-// ParseRoleName parses the service.name/arity form produced by String.
-func ParseRoleName(s string) (RoleName, error) {
-	dot := strings.IndexByte(s, '.')
-	slash := strings.LastIndexByte(s, '/')
-	if dot <= 0 || slash <= dot+1 || slash == len(s)-1 {
-		return RoleName{}, fmt.Errorf("%w: %q", ErrBadRoleName, s)
-	}
-	var arity int
-	if _, err := fmt.Sscanf(s[slash+1:], "%d", &arity); err != nil {
-		return RoleName{}, fmt.Errorf("%w: bad arity in %q", ErrBadRoleName, s)
-	}
-	return NewRoleName(s[:dot], s[dot+1:slash], arity)
-}
-
 // Role is an instance of a role name applied to parameter terms, e.g.
 // treating_doctor(d17, p42). Params may contain variables inside policy
 // rules; a role held by a principal is always ground.

@@ -1,6 +1,7 @@
 package names
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -159,4 +160,19 @@ func TestRoleKeyDistinguishesParams(t *testing.T) {
 	if !strings.Contains(a, "h.doc") {
 		t.Errorf("key %q missing qualified name", a)
 	}
+}
+
+// ParseRoleName parses the service.name/arity form produced by
+// RoleName.String; the round-trip tests hold String to it.
+func ParseRoleName(s string) (RoleName, error) {
+	dot := strings.IndexByte(s, '.')
+	slash := strings.LastIndexByte(s, '/')
+	if dot <= 0 || slash <= dot+1 || slash == len(s)-1 {
+		return RoleName{}, fmt.Errorf("%w: %q", ErrBadRoleName, s)
+	}
+	var arity int
+	if _, err := fmt.Sscanf(s[slash+1:], "%d", &arity); err != nil {
+		return RoleName{}, fmt.Errorf("%w: bad arity in %q", ErrBadRoleName, s)
+	}
+	return NewRoleName(s[:dot], s[dot+1:slash], arity)
 }

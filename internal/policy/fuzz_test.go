@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -64,4 +65,43 @@ func TestParserRandomBytes(t *testing.T) {
 			Parse(src) //nolint:errcheck // only absence of panic matters
 		}()
 	}
+}
+
+// FuzzParse holds Parse to TestParserNeverPanics' property on arbitrary
+// text: no panic; a rejection is a *SyntaxError, or — for text that
+// parses but names an unbound variable or a keep index past the body —
+// Rule.Validate's error, which names the rule; and every accepted rule
+// re-parses from its String().
+func FuzzParse(f *testing.F) {
+	for _, frag := range []string{
+		"a.b", "<-", "env", "appt", "auth", "keep", "(", ")", "[", "]",
+		",", ".", "!", "X", "x", "42", "-7", `"str"`, "#c\n", " ", "\n",
+		"<", "-", `"unterminated`, "_v", "a.b(X)", "keep [1]", "..",
+		"\x00", "é", "日本",
+		// The benchmark's two policies.
+		"login.user(U) <- env registered(U).\n",
+		"files.reader(U) <- login.user(U), env registered(U) keep [1].\n",
+	} {
+		f.Add(frag)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		pol, err := Parse(src)
+		if err != nil {
+			var se *SyntaxError
+			if !errors.As(err, &se) && !strings.HasPrefix(err.Error(), "rule ") {
+				t.Fatalf("Parse(%q) = %v (%T): neither a syntax nor a rule error", src, err, err)
+			}
+			return
+		}
+		for _, rule := range pol.Rules {
+			if _, err := Parse(rule.String()); err != nil {
+				t.Fatalf("rule %q from %q does not re-parse: %v", rule, src, err)
+			}
+		}
+		for _, rule := range pol.Auth {
+			if _, err := Parse(rule.String()); err != nil {
+				t.Fatalf("auth rule %q from %q does not re-parse: %v", rule, src, err)
+			}
+		}
+	})
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/names"
 )
 
 // The paper stresses that "it is essential to maintain consistency as
@@ -216,19 +214,6 @@ func Errors(issues []Issue) []Issue {
 	for _, i := range issues {
 		if i.Severity == "error" {
 			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// RolesDefined lists the role names a policy defines (helper for tools).
-func RolesDefined(pol Policy) []names.RoleName {
-	seen := make(map[string]bool)
-	var out []names.RoleName
-	for _, r := range pol.Rules {
-		if !seen[r.Head.Name.String()] {
-			seen[r.Head.Name.String()] = true
-			out = append(out, r.Head.Name)
 		}
 	}
 	return out

@@ -180,18 +180,6 @@ func TestIssueString(t *testing.T) {
 	}
 }
 
-func TestRolesDefined(t *testing.T) {
-	pol := MustParse(`
-s.a <- env ok.
-s.a <- env ok2.
-s.b(X) <- s.a, env bind(X).
-`)
-	roles := RolesDefined(pol)
-	if len(roles) != 2 {
-		t.Errorf("RolesDefined = %v", roles)
-	}
-}
-
 func TestCheckerDeterministicOrder(t *testing.T) {
 	run := func() string {
 		issues := checkerWith(t, map[string]struct {

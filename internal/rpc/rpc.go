@@ -18,9 +18,6 @@ var (
 	// ErrUnknownService is returned when no handler is registered for
 	// the target service.
 	ErrUnknownService = errors.New("unknown service")
-	// ErrInjectedFault is the base error for faults injected by tests
-	// and the experiment harness.
-	ErrInjectedFault = errors.New("injected transport fault")
 	// ErrConnBroken marks a connection whose stream state can no longer
 	// be trusted (a lost, late, or skewed response frame). The client
 	// drops the connection and redials; callers may retry idempotent
@@ -171,35 +168,4 @@ func (l *Loopback) Call(service, method string, body []byte) ([]byte, error) {
 	l.bytesIn += uint64(len(out))
 	l.mu.Unlock()
 	return out, nil
-}
-
-// FailAll returns a Fault that fails every matching call (a network
-// partition between the caller and one service); service=="" severs
-// everything. Clear it with SetFault(nil) to heal the partition.
-func FailAll(service string) Fault {
-	return func(svc, method string) error {
-		if service != "" && svc != service {
-			return nil
-		}
-		return fmt.Errorf("%w: partition: %s.%s", ErrInjectedFault, svc, method)
-	}
-}
-
-// FailNTimes returns a Fault that fails the first n matching calls and then
-// passes everything; service=="" matches all services.
-func FailNTimes(service string, n int) Fault {
-	var mu sync.Mutex
-	remaining := n
-	return func(svc, method string) error {
-		if service != "" && svc != service {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if remaining > 0 {
-			remaining--
-			return fmt.Errorf("%w: %s.%s", ErrInjectedFault, svc, method)
-		}
-		return nil
-	}
 }

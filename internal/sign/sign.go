@@ -64,16 +64,6 @@ func NewSecret(keyID uint32, r io.Reader) (Secret, error) {
 	return s, nil
 }
 
-// MustNewSecret generates a secret from crypto/rand, panicking on entropy
-// failure (startup-time only).
-func MustNewSecret(keyID uint32) Secret {
-	s, err := NewSecret(keyID, rand.Reader)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // macState is a pooled keyed HMAC: certificate verification runs on the
 // callback-validation hot path, and building a fresh HMAC (two SHA-256
 // states) per signature is the dominant allocation there. Reset restores

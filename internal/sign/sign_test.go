@@ -2,6 +2,7 @@ package sign
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -188,4 +189,14 @@ func TestKeyRingCurrentKeyID(t *testing.T) {
 	if kr.CurrentKeyID() == before {
 		t.Error("CurrentKeyID unchanged after rotation")
 	}
+}
+
+// MustNewSecret generates a secret from crypto/rand, panicking on entropy
+// failure.
+func MustNewSecret(keyID uint32) Secret {
+	s, err := NewSecret(keyID, rand.Reader)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

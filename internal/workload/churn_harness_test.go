@@ -1,12 +1,13 @@
-// Churn is the large-population capacity harness: where workload.Run
-// checks the active-security invariants on a small richly-connected world,
-// Churn drives a large synthetic principal population through the
+package workload
+
+// Churn is the large-population capacity harness, run at smoke scale by
+// TestChurnSmoke: where workload.Run checks the active-security
+// invariants on a small richly-connected world, Churn drives a large synthetic principal population through the
 // session-lifecycle storms a big deployment sees — login storms, role
 // activation bursts, skewed validation traffic with continuous
 // revoke/re-login churn, appointment-expiry waves and a deep revocation
 // cascade — against live services, and measures what that population costs
 // to keep resident and to validate.
-package workload
 
 import (
 	"fmt"

@@ -42,7 +42,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/baseline"
 	"repro/internal/cert"
-	"repro/internal/civ"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/domain"
@@ -305,29 +304,6 @@ var (
 	NewAnonymousSession = domain.NewAnonymousSession
 	// ErrNoSLA reports a credential with no covering agreement.
 	ErrNoSLA = domain.ErrNoSLA
-)
-
-// CIV: replicated certificate issuing and validation (Sect. 4, ref [10]).
-type (
-	// CIVCluster is a replicated credential-record service.
-	CIVCluster = civ.Cluster
-	// CIVRecord is the CIV view of a certificate's validity.
-	CIVRecord = civ.Record
-	// RecordStore holds credential-record validity state for services.
-	RecordStore = core.RecordStore
-	// RecordStatus is a RecordStore read.
-	RecordStatus = core.RecordStatus
-	// CIVRecords adapts a CIV cluster to the RecordStore interface so a
-	// domain's services can share the one highly available issuing and
-	// validation service (paper ref [10]).
-	CIVRecords = domain.CIVRecords
-)
-
-var (
-	// NewCIVCluster creates a CIV cluster of n replicas.
-	NewCIVCluster = civ.NewCluster
-	// NewCIVRecords wraps a CIV cluster as a RecordStore.
-	NewCIVRecords = domain.NewCIVRecords
 )
 
 // Audit and trust (Sect. 6).
